@@ -17,6 +17,7 @@ from .aligner import (
     EmissionMatrix,
     InfeasibleAlignmentError,
     UnknownTokenError,
+    align_batch,
     find_emissions,
     force_align,
     load_emissions,

@@ -7,6 +7,11 @@ and each frame either stays in its state, advances to the next state, or
 skips the intervening blank when two neighboring labels differ. Word
 boundaries fall out of which character owns each frame.
 
+align_batch steps a group of utterances through their trellises together,
+one frame at a time for the whole group, which costs far fewer interpreter
+round trips than aligning them one by one; force_align is its one-utterance
+call. align_grouped feeds it a stream in groups of bounded memory.
+
 Emission matrices hold per-frame log-posteriors over a character vocabulary
 with the blank at index 0, and can be stored either as .npz archives or as a
 simple whitespace-separated text format with a one-line header.
@@ -14,9 +19,12 @@ simple whitespace-separated text format with a one-line header.
 
 from __future__ import annotations
 
+import itertools
+import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -29,6 +37,12 @@ _ROW_NORM_TOL = 1e-3
 
 _TEXT_SUFFIX = ".emit"
 _NPZ_SUFFIX = ".npz"
+
+# Back-pointer cells (frames x utterances x states, padded to the longest
+# and widest member) that align_grouped lets one group hold, one byte each.
+GROUP_CELLS = 1 << 20
+
+K = TypeVar("K")
 
 
 class AlignmentError(Exception):
@@ -154,115 +168,244 @@ def force_align(emissions: EmissionMatrix, tokens: Sequence[str], *,
     trellis resolve advance over self-loop over blank-skip, so results are
     deterministic.
     """
+    result = align_batch([(emissions, tokens)], score_mode=score_mode)[0]
+    if isinstance(result, AlignmentError):
+        raise result
+    return result
+
+
+def align_batch(items: Sequence[tuple[EmissionMatrix, Sequence[str]]], *,
+                score_mode: str = "geometric") -> list[AlignmentResult | AlignmentError]:
+    """Viterbi-align several utterances together, in one loop over frames.
+
+    ``items`` are (emissions, tokens) pairs. Returns one entry per item, in
+    order: the AlignmentResult that force_align returns for it, or the
+    AlignmentError that force_align raises. Each utterance keeps its own
+    trellis, so sharing the frame loop changes no result.
+    """
     if score_mode not in ("geometric", "arithmetic"):
         raise ValueError(f"unknown score_mode {score_mode!r}")
-    if not tokens:
-        raise AlignmentError("need at least one token to align")
+    results: list = [None] * len(items)
+    jobs = []
+    for slot, (emissions, tokens) in enumerate(items):
+        try:
+            jobs.append(_Job.prepare(slot, emissions, tokens))
+        except AlignmentError as exc:
+            # Kept without its traceback, the error holds no frame of this
+            # call, so the group's arrays are freed as soon as it returns.
+            results[slot] = exc.with_traceback(None)
+    if jobs:
+        jobs.sort(key=lambda job: -job.n_frames)
+        for job, result in zip(jobs, _align_group(jobs, score_mode)):
+            results[job.slot] = result
+    return results
 
-    labels, owners = _labels_for_tokens(tokens, emissions.vocab)
-    lp = emissions.log_probs
-    n_frames = emissions.n_frames
-    needed = min_frames_required(labels)
-    if n_frames < needed:
-        raise InfeasibleAlignmentError(n_frames, needed)
 
-    n_labels = len(labels)
-    n_states = 2 * n_labels + 1
-    # ext[s]: vocab index emitted in state s (even states are blanks)
-    ext = np.zeros(n_states, dtype=np.int64)
-    ext[1::2] = labels
+def align_grouped(jobs: Iterable[tuple[K, EmissionMatrix | None, Sequence[str]]], *,
+                  score_mode: str = "geometric"
+                  ) -> Iterator[tuple[K, AlignmentResult | AlignmentError | None]]:
+    """Align a stream of (key, emissions, tokens) jobs in bounded groups.
 
-    neg_inf = -np.inf
-    score = np.full(n_states, neg_inf)
-    score[0] = lp[0, 0]
-    score[1] = lp[0, ext[1]]
-    # back[t, s]: 0 = stay, 1 = advance from s-1, 2 = skip from s-2
-    back = np.zeros((n_frames, n_states), dtype=np.int8)
+    Consecutive jobs go to align_batch together while the group's padded
+    back-pointer array (longest frames x utterances x widest trellis) stays
+    within GROUP_CELLS; an utterance larger than that is aligned alone.
+    Yields (key, result) in input order, result as align_batch gives it. A
+    job whose emissions are None is not aligned and yields (key, None) in
+    its place.
+    """
+    group: list = []
+    frames = states = members = 0
+    for key, emissions, tokens in jobs:
+        if emissions is not None:
+            n_states = 2 * sum(len(token) for token in tokens) + 1
+            frames = max(frames, emissions.n_frames)
+            states = max(states, n_states)
+            members += 1
+            if members > 1 and frames * states * members > GROUP_CELLS:
+                yield from _flush(group, score_mode)
+                group = []
+                frames, states, members = emissions.n_frames, n_states, 1
+        group.append((key, emissions, tokens))
+    yield from _flush(group, score_mode)
 
-    can_skip = np.zeros(n_states, dtype=bool)
-    for s in range(3, n_states, 2):
-        can_skip[s] = ext[s] != ext[s - 2]
 
-    for t in range(1, n_frames):
-        prev = score
-        stay = prev
-        advance = np.concatenate(([neg_inf], prev[:-1]))
-        skip = np.concatenate(([neg_inf, neg_inf], prev[:-2]))
-        skip = np.where(can_skip, skip, neg_inf)
-        # Tie order: advance beats stay beats skip.
-        best = advance.copy()
-        choice = np.ones(n_states, dtype=np.int8)
-        better = stay > best
-        best[better] = stay[better]
-        choice[better] = 0
-        better = skip > best
-        best[better] = skip[better]
-        choice[better] = 2
-        score = best + lp[t, ext]
-        back[t] = choice
+def _flush(group: list, score_mode: str) -> Iterator[tuple]:
+    aligned = iter(align_batch([(emissions, tokens) for _, emissions, tokens in group
+                                if emissions is not None], score_mode=score_mode))
+    for key, emissions, _ in group:
+        yield key, (None if emissions is None else next(aligned))
 
-    # Valid endings: final blank or final label; prefer the label on a tie.
-    end_label, end_blank = n_states - 2, n_states - 1
-    if score[end_label] >= score[end_blank]:
-        state = end_label
+
+@dataclass(frozen=True)
+class _Job:
+    """One utterance whose labels fit its frames, ready for the trellis."""
+
+    slot: int
+    emissions: EmissionMatrix
+    tokens: Sequence[str]
+    ext: np.ndarray          # vocab index emitted in each state; even states are blanks
+    owners: np.ndarray       # index of the token that owns each label
+
+    @classmethod
+    def prepare(cls, slot: int, emissions: EmissionMatrix,
+                tokens: Sequence[str]) -> "_Job":
+        if not tokens:
+            raise AlignmentError("need at least one token to align")
+        labels, owners = _labels_for_tokens(tokens, emissions.vocab)
+        needed = min_frames_required(labels)
+        if emissions.n_frames < needed:
+            raise InfeasibleAlignmentError(emissions.n_frames, needed)
+        ext = np.zeros(2 * len(labels) + 1, dtype=np.int64)
+        ext[1::2] = labels
+        return cls(slot, emissions, tokens, ext, np.array(owners, dtype=np.int64))
+
+    @property
+    def n_frames(self) -> int:
+        return self.emissions.n_frames
+
+
+def _align_group(jobs: list[_Job], score_mode: str) -> list[AlignmentResult]:
+    """Align jobs sorted longest first; results in the same order."""
+    log_probs = [job.emissions.log_probs for job in jobs]
+    # Emissions are read from one flat copy of the group's log-probs, so no
+    # frames x utterances x states array is ever built.
+    flat = np.concatenate([lp.ravel() for lp in log_probs])
+    flat_start = np.cumsum([0] + [lp.size for lp in log_probs[:-1]])
+    stride = np.array([lp.shape[1] for lp in log_probs], dtype=np.int64)
+    state_paths, totals = _viterbi(jobs, flat, flat_start, stride)
+
+    # Per-frame arrays of the whole group, utterance after utterance.
+    n_frames = np.array([job.n_frames for job in jobs])
+    state = np.fromiter(itertools.chain.from_iterable(state_paths),
+                        dtype=np.int64, count=int(n_frames.sum()))
+    utt = np.repeat(np.arange(len(jobs)), n_frames)
+    frame_start = np.cumsum(n_frames) - n_frames
+    n_states = np.array([len(job.ext) for job in jobs])
+    ext_start = np.cumsum(n_states) - n_states
+    symbol = np.concatenate([job.ext for job in jobs])[ext_start[utt] + state]
+
+    # Frames spent on a label, with the group-wide index of the owning
+    # token. Every label state lies on every complete path, so each token
+    # owns at least one frame, and token indices never decrease.
+    on_label = np.flatnonzero(state & 1)
+    label_utt = utt[on_label]
+    frame = on_label - frame_start[label_utt]
+    log_p = flat[flat_start[label_utt] + frame * stride[label_utt] + symbol[on_label]]
+    n_labels = (n_states - 1) // 2
+    n_tokens = np.array([len(job.tokens) for job in jobs])
+    token_start = np.cumsum(n_tokens) - n_tokens
+    owner = (np.concatenate([job.owners for job in jobs])[
+        np.cumsum(n_labels)[label_utt] - n_labels[label_utt] + (state[on_label] >> 1)]
+        + token_start[label_utt])
+    # np.bincount adds in frame order, as a running sum would.
+    total_tokens = int(n_tokens.sum())
+    counts = np.bincount(owner, minlength=total_tokens)
+    if score_mode == "geometric":
+        scores = np.exp(np.bincount(owner, weights=log_p, minlength=total_tokens) / counts)
     else:
-        state = end_blank
-    total = float(score[state])
-    if not np.isfinite(total):
-        raise InfeasibleAlignmentError(n_frames, needed)
+        scores = np.bincount(owner, weights=np.exp(log_p), minlength=total_tokens) / counts
+    scores = np.minimum(scores, 1.0).tolist()
+    token_ids = np.arange(total_tokens)
+    first = frame[np.searchsorted(owner, token_ids, side="left")]
+    last = frame[np.searchsorted(owner, token_ids, side="right") - 1]
+    frame_dur = np.repeat([job.emissions.frame_dur_s for job in jobs], n_tokens)
+    starts = (first * frame_dur).tolist()
+    ends = ((last + 1) * frame_dur).tolist()
+    symbols = symbol.tolist()
 
-    states = np.zeros(n_frames, dtype=np.int64)
-    for t in range(n_frames - 1, -1, -1):
-        states[t] = state
-        if t:
-            state -= back[t, state]
+    results = []
+    for b, job in enumerate(jobs):
+        lo = int(token_start[b])
+        words = tuple(WordSpan(word=token, start_s=starts[lo + w], end_s=ends[lo + w],
+                               score=scores[lo + w])
+                      for w, token in enumerate(job.tokens))
+        f0 = int(frame_start[b])
+        results.append(AlignmentResult(
+            words=words, path=tuple(symbols[f0:f0 + job.n_frames]),
+            path_logprob=totals[b],
+            score=float(sum(word.score for word in words) / len(words)),
+            frame_dur_s=job.emissions.frame_dur_s))
+    return results
 
-    path = tuple(int(ext[s]) for s in states)
 
-    # Group frames by owning word through the label states they occupy.
-    first_frame = np.full(len(tokens), -1, dtype=np.int64)
-    last_frame = np.zeros(len(tokens), dtype=np.int64)
-    logp_sums = np.zeros(len(tokens))
-    prob_sums = np.zeros(len(tokens))
-    counts = np.zeros(len(tokens), dtype=np.int64)
-    for t, s in enumerate(states):
-        if s % 2 == 0:
+def _viterbi(jobs: list[_Job], flat: np.ndarray, flat_start: np.ndarray,
+             stride: np.ndarray) -> tuple[list[list[int]], list[float]]:
+    """Best state path and its log-probability for each job.
+
+    Jobs are sorted longest first, so the utterances still running at any
+    frame are a prefix of the group. Trellises are padded to the widest
+    with states that start at -inf; a padding state lies past the last real
+    one and only ever feeds later padding states, so no real score sees it.
+    """
+    n = len(jobs)
+    frames = [job.n_frames for job in jobs]
+    width = max(len(job.ext) for job in jobs)
+    # at[b, s]: index into flat of state s's emission at the current frame.
+    # Padding states read the blank column.
+    at = np.zeros((n, width), dtype=np.int64)
+    # skip_cost[b, s]: 0 where s may be entered from s - 2, else -inf.
+    skip_cost = np.full((n, width), -np.inf)
+    for b, job in enumerate(jobs):
+        ext = job.ext
+        at[b, :len(ext)] = ext
+        can_skip = np.zeros(len(ext), dtype=bool)
+        can_skip[3::2] = ext[3::2] != ext[1:-2:2]
+        skip_cost[b, :len(ext)][can_skip] = 0.0
+    at += flat_start[:, None]
+    step = np.repeat(stride, width).reshape(n, width)
+    take = flat.take
+
+    # Frame t's scores go to score[t % 2]. The two leading -inf columns let
+    # state s read states s - 1 and s - 2 as plain slices.
+    score = np.full((2, n, width + 2), -np.inf)
+    score[0, :, 2:4] = flat[at[:, :2]]
+    # back[t, b, s]: 0 = stay, 1 = advance from s-1, 2 = skip from s-2
+    back = np.empty((frames[0], n, width), dtype=np.int8)
+    back_bool = back.view(np.bool_)
+    emit = np.empty((n, width))
+    skipped = np.empty((n, width))
+    skip_wins = np.empty((n, width), dtype=bool)
+
+    t = 1
+    for k in range(n, 0, -1):
+        stop = frames[k - 1]
+        if t >= stop:
             continue
-        w = owners[(s - 1) // 2]
-        if first_frame[w] < 0:
-            first_frame[w] = t
-        last_frame[w] = t
-        frame_lp = lp[t, ext[s]]
-        logp_sums[w] += frame_lp
-        prob_sums[w] += np.exp(frame_lp)
-        counts[w] += 1
+        at_k, step_k, emit_k = at[:k], step[:k], emit[:k]
+        cost_k, skipped_k, wins_k = skip_cost[:k], skipped[:k], skip_wins[:k]
+        views = [(prev[:k, 2:], prev[:k, 1:-1], prev[:k, :-2], cur[:k, 2:])
+                 for prev, cur in ((score[1], score[0]), (score[0], score[1]))]
+        for t in range(t, stop):
+            stay, advance, skip, best = views[t & 1]
+            np.add(at_k, step_k, out=at_k)
+            take(at_k, out=emit_k, mode="clip")
+            np.add(skip, cost_k, out=skipped_k)
+            # Tie order: advance beats stay beats skip.
+            np.less_equal(stay, advance, out=back_bool[t, :k])
+            np.maximum(advance, stay, out=best)
+            np.greater(skipped_k, best, out=wins_k)
+            np.maximum(best, skipped_k, out=best)
+            np.putmask(back[t, :k], wins_k, 2)
+            np.add(best, emit_k, out=best)
+        t = stop
 
-    fd = emissions.frame_dur_s
-    words = []
-    for w, token in enumerate(tokens):
-        if counts[w] == 0:
-            raise AlignmentError(f"token {w} ({token!r}) received no frames")
-        if score_mode == "geometric":
-            word_score = float(np.exp(logp_sums[w] / counts[w]))
-        else:
-            word_score = float(prob_sums[w] / counts[w])
-        words.append(WordSpan(
-            word=token,
-            start_s=float(first_frame[w] * fd),
-            end_s=float((last_frame[w] + 1) * fd),
-            score=min(1.0, word_score),
-        ))
-
-    mean_score = float(sum(w.score for w in words) / len(words))
-    return AlignmentResult(words=tuple(words), path=path, path_logprob=total,
-                           score=mean_score, frame_dur_s=fd)
-
-
-def score_utterance(result: AlignmentResult) -> float:
-    """Unweighted mean of the word scores."""
-    if not result.words:
-        raise AlignmentError("alignment has no words to score")
-    return float(sum(w.score for w in result.words) / len(result.words))
+    state_paths, totals = [], []
+    pointer = back.item
+    for b, job in enumerate(jobs):
+        last = frames[b] - 1
+        final = score[last & 1, b, 2:]
+        # Valid endings: final label or final blank; prefer the label on a tie.
+        state = len(job.ext) - 2
+        if final[state] < final[state + 1]:
+            state += 1
+        totals.append(float(final[state]))
+        states = [0] * frames[b]
+        for t in range(last, 0, -1):
+            states[t] = state
+            state -= pointer(t, b, state)
+        states[0] = state
+        state_paths.append(states)
+    return state_paths, totals
 
 
 def unaligned_gaps(words: Iterable[WordSpan] | AlignmentResult,
@@ -304,45 +447,65 @@ def save_emissions(emissions: EmissionMatrix, path: str | Path) -> None:
 
 
 def load_emissions(path: str | Path) -> EmissionMatrix:
-    """Read an emission matrix saved by save_emissions."""
+    """Read an emission matrix saved by save_emissions.
+
+    A file that does not decode to a valid matrix, whatever the cause,
+    raises EmissionFormatError.
+    """
     path = Path(path)
-    if path.suffix == _NPZ_SUFFIX:
-        with np.load(path, allow_pickle=False) as data:
-            try:
-                return EmissionMatrix(
-                    log_probs=data["log_probs"],
-                    frame_dur_s=float(data["frame_dur_s"]),
-                    vocab=tuple(str(v) for v in data["vocab"]),
-                )
-            except KeyError as exc:
-                raise EmissionFormatError(f"{path.name}: missing array {exc}") from exc
-    if path.suffix == _TEXT_SUFFIX:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().split()
-            if len(header) < 3:
-                raise EmissionFormatError(f"{path.name}: header needs frame "
-                                          f"duration plus at least two vocab entries")
-            try:
-                frame_dur = float(header[0])
-            except ValueError as exc:
-                raise EmissionFormatError(f"{path.name}: bad frame duration "
-                                          f"{header[0]!r}") from exc
-            vocab = tuple(header[1:])
-            rows = []
-            for line_no, line in enumerate(fh, 2):
-                if not line.strip():
-                    continue
-                values = line.split()
-                if len(values) != len(vocab):
-                    raise EmissionFormatError(
-                        f"{path.name}:{line_no}: expected {len(vocab)} values, "
-                        f"got {len(values)}")
-                rows.append([float(v) for v in values])
-            if not rows:
-                raise EmissionFormatError(f"{path.name}: no frames")
-            return EmissionMatrix(log_probs=np.array(rows), frame_dur_s=frame_dur,
-                                  vocab=vocab)
+    try:
+        if path.suffix == _NPZ_SUFFIX:
+            return _load_npz(path)
+        if path.suffix == _TEXT_SUFFIX:
+            return _load_emit(path)
+    except KeyError as exc:
+        raise EmissionFormatError(f"{path.name}: missing array {exc}") from exc
+    except (ValueError, TypeError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+        # np.load refuses a non-archive as pickled data (ValueError), a
+        # truncated archive as BadZipFile; text that is not UTF-8 raises
+        # UnicodeDecodeError, a ValueError.
+        raise EmissionFormatError(f"{path.name}: {exc}") from exc
     raise EmissionFormatError(f"unsupported emission file suffix: {path.name}")
+
+
+def _load_npz(path: Path) -> EmissionMatrix:
+    with np.load(path, allow_pickle=False) as data:
+        return EmissionMatrix(
+            log_probs=data["log_probs"],
+            frame_dur_s=float(data["frame_dur_s"]),
+            vocab=tuple(str(v) for v in data["vocab"]),
+        )
+
+
+def _load_emit(path: Path) -> EmissionMatrix:
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().split()
+        if len(header) < 3:
+            raise EmissionFormatError(f"{path.name}: header needs frame "
+                                      f"duration plus at least two vocab entries")
+        try:
+            frame_dur = float(header[0])
+        except ValueError as exc:
+            raise EmissionFormatError(f"{path.name}: bad frame duration "
+                                      f"{header[0]!r}") from exc
+        vocab = tuple(header[1:])
+        rows = []
+        for line_no, line in enumerate(fh, 2):
+            if not line.strip():
+                continue
+            values = line.split()
+            if len(values) != len(vocab):
+                raise EmissionFormatError(
+                    f"{path.name}:{line_no}: expected {len(vocab)} values, "
+                    f"got {len(values)}")
+            try:
+                rows.append([float(v) for v in values])
+            except ValueError as exc:
+                raise EmissionFormatError(f"{path.name}:{line_no}: {exc}") from exc
+        if not rows:
+            raise EmissionFormatError(f"{path.name}: no frames")
+        return EmissionMatrix(log_probs=np.array(rows), frame_dur_s=frame_dur,
+                              vocab=vocab)
 
 
 def find_emissions(directory: str | Path, key: str) -> Path | None:

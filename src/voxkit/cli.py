@@ -15,7 +15,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import editctl, flowsched
-from .aligner import AlignmentError, find_emissions, force_align, load_emissions
+from .aligner import (AlignmentError, EmissionFormatError, align_grouped,
+                      find_emissions, load_emissions)
 from .audio import AudioFormatError, read_wav, write_wav
 from .curate import (CurationError, EvalCriteria, compute_stats, eligible,
                      render_stats_table, select_eval, stats_to_json_dict,
@@ -124,25 +125,32 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_align(args) -> int:
+    # Records are aligned in groups, so a record's failure travels with it
+    # and is raised or skipped in input order.
+    def jobs():
+        for record in read_manifest(args.input):
+            emissions = error = None
+            if not record.romanized_tokens:
+                error = ManifestError("no romanized_tokens; normalize first",
+                                      key=record.key)
+            elif (path := find_emissions(args.emissions, record.key)) is None:
+                error = AlignmentError(f"no emissions for key {record.key!r} "
+                                       f"under {args.emissions}")
+            else:
+                try:
+                    emissions = load_emissions(path)
+                except EmissionFormatError as exc:
+                    error = exc.with_traceback(None)
+            yield (record, error), emissions, record.romanized_tokens
+
     out = []
     skipped = 0
-    for record in read_manifest(args.input):
-        if not record.romanized_tokens:
-            raise ManifestError("no romanized_tokens; normalize first",
-                                key=record.key)
-        path = find_emissions(args.emissions, record.key)
-        if path is None:
-            if not args.skip_failed:
-                raise AlignmentError(f"no emissions for key {record.key!r} "
-                                     f"under {args.emissions}")
-            skipped += 1
-            continue
-        try:
-            result = force_align(load_emissions(path), record.romanized_tokens,
-                                 score_mode=args.score_mode)
-        except AlignmentError:
-            if not args.skip_failed:
-                raise
+    for (record, error), result in align_grouped(jobs(), score_mode=args.score_mode):
+        if isinstance(result, AlignmentError):
+            error = result
+        if error is not None:
+            if not (args.skip_failed and isinstance(error, AlignmentError)):
+                raise error
             skipped += 1
             continue
         out.append(with_words(record, result.words, result.score))

@@ -12,11 +12,12 @@ import heapq
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
-from .aligner import (AlignmentError, find_emissions, force_align,
-                      load_emissions)
+from .aligner import (AlignmentError, EmissionFormatError, align_grouped,
+                      find_emissions, load_emissions)
 from .curate import EvalCriteria, compute_stats, stats_to_json_dict
 from .manifest import (ManifestError, SourceAdapterSpec, UtteranceRecord,
                        adapt, read_manifest, with_words, write_manifest)
@@ -63,7 +64,16 @@ class ShardAssignment:
     durations: tuple[float, ...]         # total seconds per shard
 
     def keys_for(self, index: int) -> list[str]:
-        return sorted(k for k, s in self.shard_of.items() if s == index)
+        return list(self._keys_by_shard.get(index, ()))
+
+    @cached_property
+    def _keys_by_shard(self) -> dict[int, list[str]]:
+        by_shard: dict[int, list[str]] = {}
+        for key, index in self.shard_of.items():
+            by_shard.setdefault(index, []).append(key)
+        for keys in by_shard.values():
+            keys.sort()
+        return by_shard
 
 
 def shard(records: Sequence[UtteranceRecord], n_shards: int) -> ShardAssignment:
@@ -366,20 +376,45 @@ def _stage_romanize(record: UtteranceRecord,
     return _StageOutcome(replace(record, romanized_tokens=tuple(tokens)))
 
 
-def _stage_align(record: UtteranceRecord,
-                 config: PipelineConfig) -> _StageOutcome:
-    path = find_emissions(config.emissions_dir, record.key)
-    if path is None:
-        return _StageOutcome(None, ("missing_emissions",))
-    emissions = load_emissions(path)
-    if not record.romanized_tokens:
-        return _StageOutcome(None, ("empty_text",))
+def _stage_align(records: list[UtteranceRecord],
+                 config: PipelineConfig) -> list[_StageOutcome]:
+    """Align consecutive records together, in groups of bounded memory."""
+    def jobs():
+        for record in records:
+            emissions = reason = None
+            try:
+                path = find_emissions(config.emissions_dir, record.key)
+                if path is None:
+                    reason = "missing_emissions"
+                elif not record.romanized_tokens:
+                    reason = "empty_text"
+                else:
+                    emissions = load_emissions(path)
+            except EmissionFormatError:
+                reason = "bad_emissions"
+            except Exception as exc:
+                raise PipelineStageError("align", record.key, str(exc)) from exc
+            yield (record, reason), emissions, record.romanized_tokens
+
+    outcomes: list[_StageOutcome] = []
     try:
-        result = force_align(emissions, record.romanized_tokens,
-                             score_mode=config.score_mode)
-    except AlignmentError:
-        return _StageOutcome(None, ("unalignable",))
-    return _StageOutcome(with_words(record, result.words, result.score))
+        for (record, reason), result in align_grouped(
+                jobs(), score_mode=config.score_mode):
+            if reason is not None:
+                outcomes.append(_StageOutcome(None, (reason,)))
+            elif isinstance(result, AlignmentError):
+                outcomes.append(_StageOutcome(None, ("unalignable",)))
+            else:
+                outcomes.append(_StageOutcome(
+                    with_words(record, result.words, result.score)))
+    except PipelineError:
+        raise
+    except Exception as exc:
+        # A fault inside the kernel belongs to the group that holds the
+        # first record without an outcome.
+        raise PipelineStageError("align", records[len(outcomes)].key,
+                                 f"aligning its group: {exc}") from exc
+    return outcomes
 
 
 def _stage_filter(record: UtteranceRecord,
@@ -390,10 +425,10 @@ def _stage_filter(record: UtteranceRecord,
     return _StageOutcome(None, verdict.reasons)
 
 
+# Stages that handle one record at a time; align takes the whole list.
 _STAGE_FNS = {
     "normalize": _stage_normalize,
     "romanize": _stage_romanize,
-    "align": _stage_align,
     "filter": _stage_filter,
 }
 
@@ -452,17 +487,20 @@ def run_pipeline(config: PipelineConfig,
     rejections: list[dict] = []
 
     for stage in config.stages:
-        fn = _STAGE_FNS[stage]
+        if stage == "align":
+            outcomes = _stage_align(records, config)
+        else:
+            fn = _STAGE_FNS[stage]
 
-        def run_one(record: UtteranceRecord) -> _StageOutcome:
-            try:
-                return fn(record, config)
-            except (PipelineError, ManifestError):
-                raise
-            except Exception as exc:
-                raise PipelineStageError(stage, record.key, str(exc)) from exc
+            def run_one(record: UtteranceRecord) -> _StageOutcome:
+                try:
+                    return fn(record, config)
+                except (PipelineError, ManifestError):
+                    raise
+                except Exception as exc:
+                    raise PipelineStageError(stage, record.key, str(exc)) from exc
 
-        outcomes = parallel_map(run_one, records, config.workers)
+            outcomes = parallel_map(run_one, records, config.workers)
         survivors = []
         for record, outcome in zip(records, outcomes):
             if outcome.record is not None:

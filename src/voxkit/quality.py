@@ -19,7 +19,6 @@ from .textnorm import (
     LanguageProfile,
     SUPPORTED_LANGUAGES,
     char_ratio,
-    load_profiles,
     validate_charset,
 )
 
@@ -83,12 +82,6 @@ class FilterConfig:
                                f"[{self.min_duration_s}, {self.max_duration_s}]")
         if self.max_gap_s <= 0:
             raise QualityError(f"max_gap_s must be positive, got {self.max_gap_s}")
-
-    @classmethod
-    def with_default_profiles(cls, profiles_dir=None, **kwargs) -> "FilterConfig":
-        languages = kwargs.get("languages", SUPPORTED_LANGUAGES)
-        profiles = load_profiles(tuple(languages), profiles_dir)
-        return cls(profiles=profiles, **kwargs)
 
     def confidence_threshold(self, source: str, language: str) -> float:
         pair = self.thresholds_by_source_language.get((source, language))

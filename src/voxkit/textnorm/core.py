@@ -7,7 +7,7 @@ import unicodedata
 from dataclasses import dataclass
 from typing import Sequence
 
-from .numbers import digits_to_words, number_to_words, MAX_COMPOSED
+from .numbers import digits_to_words, number_to_words
 from .profiles import LanguageProfile
 
 _DIGIT_RUN = re.compile(r"[0-9]+")

@@ -8,6 +8,7 @@ from voxkit import (
     EmissionMatrix,
     InfeasibleAlignmentError,
     UnknownTokenError,
+    align_batch,
     find_emissions,
     force_align,
     load_emissions,
@@ -222,3 +223,107 @@ def test_find_emissions_prefers_npz(tmp_path):
     save_emissions(emissions, tmp_path / "k1.emit")
     assert find_emissions(tmp_path, "k1").suffix == ".npz"
     assert find_emissions(tmp_path, "k2") is None
+
+
+def reference_trellis(log_probs, labels):
+    """Plain-loop Viterbi in Python floats and ints, documented tie order.
+
+    Returns the total log-probability and the state of every frame.
+    """
+    rows = np.asarray(log_probs).tolist()
+    ext = [0]
+    for label in labels:
+        ext.extend([label, 0])
+    n_states = len(ext)
+    score = [-math.inf] * n_states
+    score[0], score[1] = rows[0][0], rows[0][ext[1]]
+    back = []
+    for row in rows[1:]:
+        new, moves = [], []
+        for s in range(n_states):
+            best, move = (score[s - 1] if s else -math.inf), 1
+            if score[s] > best:
+                best, move = score[s], 0
+            if (s >= 3 and s % 2 and ext[s] != ext[s - 2]
+                    and score[s - 2] > best):
+                best, move = score[s - 2], 2
+            new.append(best + row[ext[s]])
+            moves.append(move)
+        score = new
+        back.append(moves)
+    state = n_states - 2 if score[-2] >= score[-1] else n_states - 1
+    total = score[state]
+    states = [state]
+    for moves in reversed(back):
+        state -= moves[state]
+        states.append(state)
+    return total, states[::-1]
+
+
+def check_against_reference(emissions, tokens):
+    labels = [emissions.vocab.index(ch) for token in tokens for ch in token]
+    owners = [w for w, token in enumerate(tokens) for _ in token]
+    total, states = reference_trellis(emissions.log_probs, labels)
+    result = force_align(emissions, tokens)
+    assert result.path_logprob == total
+    assert result.path == tuple(0 if s % 2 == 0 else labels[s // 2]
+                                for s in states)
+    fd = emissions.frame_dur_s
+    for w, span in enumerate(result.words):
+        frames = [t for t, s in enumerate(states)
+                  if s % 2 and owners[s // 2] == w]
+        assert span.word == tokens[w]
+        assert span.start_s == frames[0] * fd
+        assert span.end_s == (frames[-1] + 1) * fd
+        mean = sum(emissions.log_probs[t, result.path[t]] for t in frames) / len(frames)
+        assert span.score == pytest.approx(min(1.0, math.exp(mean)), rel=1e-12)
+    return result
+
+
+def test_long_token_on_uniform_emissions():
+    # 141 states: the backtrack passes state indices above 127, which
+    # arithmetic in the int8 dtype of the back-pointers cannot hold.
+    emissions = emissions_from_logits(np.zeros((90, 3)))
+    result = check_against_reference(emissions, ["ab" * 35])
+    assert result.path_logprob == pytest.approx(90 * math.log(1 / 3))
+
+
+def test_250_letter_utterance_matches_reference_trellis():
+    rng = np.random.default_rng(250)
+    text = "".join(rng.choice(list("abc"), 250))
+    tokens = [text[i:i + 10] for i in range(0, 250, 10)]
+    labels = [LETTERS.index(ch) + 1 for ch in text]
+    n_frames = min_frames_required(labels) + 60
+    emissions = emissions_from_logits(rng.normal(scale=2.0, size=(n_frames, 4)))
+    result = check_against_reference(emissions, tokens)
+    assert len(result.words) == 25
+
+
+def test_align_grouped_bounds_groups_and_keeps_order(monkeypatch):
+    from voxkit import aligner
+    rng = np.random.default_rng(11)
+    jobs = []
+    for i in range(9):
+        n_frames = int(rng.integers(6, 40))
+        emissions = emissions_from_logits(rng.normal(size=(n_frames, 4)))
+        tokens = ["abc"[: 1 + i % 3], "cab"] if i != 4 else ["abcabcab" * 8]
+        jobs.append((f"k{i}", None if i == 2 else emissions, tokens))
+    sizes = []
+
+    def counting_batch(items, **kwargs):
+        sizes.append(len(items))
+        return align_batch(items, **kwargs)
+
+    monkeypatch.setattr(aligner, "GROUP_CELLS", 1200)
+    monkeypatch.setattr(aligner, "align_batch", counting_batch)
+    out = list(aligner.align_grouped(iter(jobs)))
+    assert [key for key, _ in out] == [key for key, _, _ in jobs]
+    assert len(sizes) > 2 and sum(sizes) == 8
+    for (key, emissions, tokens), (_, result) in zip(jobs, out):
+        if emissions is None:
+            assert result is None
+        elif isinstance(result, AlignmentError):
+            with pytest.raises(type(result)):
+                force_align(emissions, tokens)
+        else:
+            assert result == force_align(emissions, tokens)

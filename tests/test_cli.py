@@ -194,6 +194,38 @@ def test_align_infeasible_labels(tmp_path):
                  str(tmp_path / "o.jsonl"), "--emissions", str(emit)]) == 3
 
 
+def test_align_corrupt_emissions(tmp_path, capsys):
+    records = [rec(k, confidence=None, duration_s=4.0, text="hi there",
+                   romanized_tokens=("hi", "there")) for k in ("a", "b")]
+    src = manifest_of(tmp_path, records)
+    emit = tmp_path / "emit"
+    emit.mkdir()
+    save_emissions(peaked_emissions(("hi", "there"), 4.0), emit / "a.npz")
+    (emit / "b.npz").write_bytes(b"plain bytes, not an archive")
+    out = tmp_path / "aligned.jsonl"
+    args = ["align", "-i", str(src), "-o", str(out), "--emissions", str(emit)]
+    assert main(args) == 3
+    assert "b.npz" in capsys.readouterr().err
+    assert main(args + ["--skip-failed"]) == 0
+    assert [row["key"] for row in read_lines(out)] == ["a"]
+
+
+def test_align_long_utterance(tmp_path):
+    tokens = ("ab" * 35, "ba" * 40)
+    record = rec("long", confidence=None, duration_s=8.0,
+                 text=" ".join(tokens), romanized_tokens=tokens)
+    src = manifest_of(tmp_path, [record])
+    emit = tmp_path / "emit"
+    emit.mkdir()
+    save_emissions(peaked_emissions(tokens, 8.0), emit / "long.emit")
+    out = tmp_path / "aligned.jsonl"
+    assert main(["align", "-i", str(src), "-o", str(out),
+                 "--emissions", str(emit), "--skip-failed"]) == 0
+    row = read_lines(out)[0]
+    assert [w["word"] for w in row["words"]] == list(tokens)
+    assert row["avg_confidence"] > 0.9
+
+
 # ----------------------------------------------------------------- filter
 
 def test_filter_writes_rejects(tmp_path):

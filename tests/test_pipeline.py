@@ -4,6 +4,8 @@ import time
 import numpy as np
 import pytest
 
+import voxkit.pipeline as pipeline_module
+
 from voxkit import (
     BLANK_TOKEN,
     ConfigError,
@@ -98,6 +100,18 @@ def test_shard_spread_never_exceeds_longest_record():
             total = sum(r.duration_s for r in records
                         if out.shard_of[r.key] == i)
             assert total == pytest.approx(out.durations[i])
+
+
+def test_keys_for_lists_each_shard_sorted():
+    rng = np.random.default_rng(5)
+    records = [rec(f"k{int(i):04d}", float(rng.uniform(0.5, 9.0)))
+               for i in rng.permutation(300)]
+    out = shard(records, 40)
+    for index in range(-1, 41):
+        expected = sorted(k for k, s in out.shard_of.items() if s == index)
+        assert out.keys_for(index) == expected
+    out.keys_for(0).clear()
+    assert out.keys_for(0)
 
 
 # ------------------------------------------------------------ parallel_map
@@ -361,14 +375,48 @@ def test_run_pipeline_unalignable(tmp_path):
     assert summary["rejections"] == {"unalignable": 1}
 
 
-def test_run_pipeline_wraps_stage_blowups(tmp_path):
+def test_run_pipeline_wraps_stage_blowups(tmp_path, monkeypatch):
     record = rec("broken", 6.0, text="some gentle words in a quiet room")
     config = full_config(tmp_path, [record])
-    (config.emissions_dir / "broken.npz").write_bytes(b"not an archive")
+
+    def unreadable(path):
+        raise OSError(f"{path}: input/output error")
+
+    monkeypatch.setattr(pipeline_module, "load_emissions", unreadable)
     with pytest.raises(PipelineStageError) as err:
         run_pipeline(config)
     assert err.value.stage == "align"
     assert err.value.key == "broken"
+
+
+@pytest.mark.parametrize("payload", [b"not an archive", b"", b"PK\x03\x04 cut"])
+def test_run_pipeline_rejects_corrupt_emissions(tmp_path, payload):
+    records = [rec(f"r{i}", 6.0, text="some gentle words in a quiet room")
+               for i in range(3)]
+    config = full_config(tmp_path, records)
+    (config.emissions_dir / "r1.npz").write_bytes(payload)
+    summary = run_pipeline(config)
+    assert summary["output_records"] == 2
+    assert summary["rejections"] == {"bad_emissions": 1}
+    rejected = [json.loads(line) for line in (tmp_path / "out" / "rejections.jsonl")
+                .read_text(encoding="utf-8").splitlines()]
+    assert rejected == [{"key": "r1", "stage": "align",
+                         "reasons": ["bad_emissions"]}]
+
+
+def test_run_pipeline_aligns_long_utterances(tmp_path):
+    words = ("abandoned", "laboratory", "buildings", "gradually")
+    text = " ".join(words[i % 4] for i in range(30))      # 285 letters
+    records = [rec("long", 40.0, text=text),
+               rec("short", 6.0, text="some gentle words in a quiet room")]
+    config = full_config(tmp_path, records,
+                         filter_config=FilterConfig(profiles=PROFILES,
+                                                    max_duration_s=60.0))
+    summary = run_pipeline(config)
+    assert summary["stage_counts"]["align"] == {"in": 2, "out": 2}
+    aligned = [json.loads(line) for line in (tmp_path / "out" / "align.jsonl")
+               .read_text(encoding="utf-8").splitlines()]
+    assert [len(row["words"]) for row in aligned] == [30, 7]
 
 
 def test_run_pipeline_shards_outputs(tmp_path):
