@@ -5,7 +5,6 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 
 class AudioFormatError(Exception):
@@ -17,6 +16,8 @@ def read_wav(path: str | Path) -> tuple[np.ndarray, int]:
 
     int16 and float32 data come back with their dtype preserved.
     """
+    from scipy.io import wavfile  # deferred: scipy.io dominates import time
+
     rate, samples = wavfile.read(str(path))
     if samples.ndim != 1:
         raise AudioFormatError(f"{path}: expected mono audio, got "
@@ -29,6 +30,8 @@ def read_wav(path: str | Path) -> tuple[np.ndarray, int]:
 
 def write_wav(path: str | Path, samples: np.ndarray, sample_rate: int) -> None:
     """Write mono samples as 16-bit PCM (int16 input) or float32 WAV."""
+    from scipy.io import wavfile
+
     samples = np.asarray(samples)
     if samples.ndim != 1:
         raise AudioFormatError(f"expected mono audio, got shape {samples.shape}")

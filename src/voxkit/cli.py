@@ -21,8 +21,8 @@ from .audio import AudioFormatError, read_wav, write_wav
 from .curate import (CurationError, EvalCriteria, compute_stats, eligible,
                      render_stats_table, select_eval, stats_to_json_dict,
                      trim_trailing_silence)
-from .manifest import (ManifestError, SourceAdapterSpec, adapt, read_manifest,
-                       with_words, write_manifest)
+from .manifest import (ManifestError, SourceAdapterSpec, adapt, atomic_write,
+                       read_manifest, with_words, write_manifest)
 from .pipeline import ConfigError, PipelineError, PipelineStageError, shard
 from .quality import FilterConfig, QualityError, fit_ratio_bounds, run_chain
 from .textnorm import (EmptyTextError, ProfileError, SUPPORTED_LANGUAGES,
@@ -210,7 +210,7 @@ def _cmd_filter(args) -> int:
                              "reasons": list(verdict.reasons)})
     count = write_manifest(kept, args.output)
     if args.rejects:
-        with open(args.rejects, "w", encoding="utf-8") as handle:
+        with atomic_write(args.rejects) as handle:
             for entry in rejected:
                 handle.write(json.dumps(entry, sort_keys=True,
                                         ensure_ascii=False) + "\n")
@@ -252,7 +252,7 @@ def _cmd_curate_eval(args) -> int:
     selected = [record for chosen in selections.values() for record in chosen]
     count = write_manifest(selected, args.output)
     if args.trims:
-        with open(args.trims, "w", encoding="utf-8") as handle:
+        with atomic_write(args.trims) as handle:
             for trim in trims:
                 handle.write(json.dumps({
                     "key": trim.key,
@@ -289,8 +289,8 @@ def _cmd_shard(args) -> int:
         "durations_s": [round(d, 3) for d in assignment.durations],
         "assignment": dict(sorted(assignment.shard_of.items())),
     }
-    (out_dir / "assignment.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with atomic_write(out_dir / "assignment.json") as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     spread = (max(assignment.durations) - min(assignment.durations)
               if records else 0.0)
     _progress(f"shard: {len(records)} records into {args.shards} shards, "
@@ -367,9 +367,9 @@ def _cmd_stitch(args) -> int:
     out, plan = editctl.stitch(segments, rate, args.fade_s, args.overlap_s)
     write_wav(args.output, out, rate)
     if args.plan:
-        Path(args.plan).write_text(
-            json.dumps(plan.to_json_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+        with atomic_write(args.plan) as handle:
+            handle.write(json.dumps(plan.to_json_dict(), indent=2,
+                                    sort_keys=True) + "\n")
     _progress(f"stitch: wrote {len(out)} samples at {rate} Hz to {args.output}")
     return EXIT_OK
 

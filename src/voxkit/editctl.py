@@ -64,22 +64,37 @@ def apply_penalty(logits: np.ndarray, history_tokens: Sequence[int],
     """Discount the logits of already-emitted tokens.
 
     Positive logits divide by the factor and negative ones multiply, so the
-    likelihood of a history token never increases. Returns a new array.
+    likelihood of a history token never increases; zero and NaN logits stay
+    as they are. ``history_tokens`` is any 1-D integer sequence (a list or
+    an integer ndarray) and may repeat tokens: each history token is
+    penalised once. One call is a few NumPy operations over the history,
+    O(len(history_tokens)). Returns a new float64 array.
     """
     if factor <= 0:
         raise EditControlError(f"penalty factor must be positive, got {factor}")
     out = np.array(logits, dtype=np.float64, copy=True)
     if out.ndim != 1:
         raise EditControlError(f"logits must be 1-D, got shape {out.shape}")
-    for token in set(history_tokens):
-        if not 0 <= token < out.shape[0]:
-            raise EditControlError(f"history token {token} outside vocabulary "
-                                   f"of {out.shape[0]}")
-        value = out[token]
-        if value > 0:
-            out[token] = value / factor
-        elif value < 0:
-            out[token] = value * factor
+    idx = np.asarray(history_tokens)
+    if idx.ndim != 1:
+        raise EditControlError(f"history tokens must be 1-D, got shape {idx.shape}")
+    if idx.size == 0:
+        return out
+    if idx.dtype.kind not in "iu":
+        raise EditControlError(f"history tokens must be integers, got {idx.dtype}")
+    vocab = out.shape[0]
+    try:
+        if idx.min() < 0:  # the gather below would wrap these round
+            raise IndexError
+        values = out[idx]  # raises IndexError for tokens >= vocab
+    except IndexError:
+        bad = idx[(idx < 0) | (idx >= vocab)][0]
+        raise EditControlError(f"history token {bad} outside vocabulary "
+                               f"of {vocab}") from None
+    # Every value written back is computed from the original logits, so a
+    # repeated token writes the same value each time.
+    out[idx] = np.where(values > 0, values / factor,
+                        np.where(values < 0, values * factor, values))
     return out
 
 

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, TextIO
 
 # Canonical field order for serialization. Extra fields follow, sorted by name.
 _FIELD_ORDER = (
@@ -299,11 +301,40 @@ def read_manifest(path: str | Path) -> Iterator[UtteranceRecord]:
             yield record
 
 
+@contextmanager
+def atomic_write(path: str | Path) -> Iterator[TextIO]:
+    """Open ``path`` for UTF-8 text writing so that it appears only when complete.
+
+    The text goes to a temporary file in the target's directory, which
+    ``os.replace`` moves onto ``path`` when the block exits normally. When
+    the block raises, the temporary file is removed and whatever was at
+    ``path`` before is left as it was. Nothing is fsynced. A symlink is
+    followed, so its target is replaced and the link kept; a path that
+    exists but is not a regular file (a pipe, or a device such as
+    /dev/stdout) cannot be replaced and is written directly.
+    """
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    path = Path(os.path.realpath(path))
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_manifest(records: Iterable[UtteranceRecord], path: str | Path) -> int:
     """Write records as JSONL. Returns the number of records written.
 
     Output is byte-stable: the same records always produce the same file.
-    Duplicate keys are rejected before anything is written.
+    Duplicate keys are rejected before anything is written, and the file
+    is replaced atomically, so a failed write leaves the old one in place.
     """
     records = list(records)
     seen: set[str] = set()
@@ -314,7 +345,7 @@ def write_manifest(records: Iterable[UtteranceRecord], path: str | Path) -> int:
         seen.add(record.key)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for record in records:
             fh.write(record_to_line(record))
             fh.write("\n")

@@ -18,9 +18,10 @@ from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .aligner import (AlignmentError, EmissionFormatError, align_grouped,
                       find_emissions, load_emissions)
-from .curate import EvalCriteria, compute_stats, stats_to_json_dict
+from .curate import compute_stats, stats_to_json_dict
 from .manifest import (ManifestError, SourceAdapterSpec, UtteranceRecord,
-                       adapt, read_manifest, with_words, write_manifest)
+                       adapt, atomic_write, read_manifest, with_words,
+                       write_manifest)
 from .quality import FilterConfig, run_chain
 from .textnorm import (EmptyTextError, LanguageProfile, ProfileError,
                        UnmappableCharacterError, load_profiles, normalize,
@@ -122,7 +123,6 @@ class PipelineConfig:
     output_dir: Path
     stages: tuple[str, ...] = STAGES
     filter_config: FilterConfig = field(default_factory=FilterConfig)
-    eval_criteria: EvalCriteria = field(default_factory=EvalCriteria)
     profiles: Mapping[str, LanguageProfile] = field(default_factory=dict)
     emissions_dir: Path | None = None
     adapter: SourceAdapterSpec | None = None
@@ -176,8 +176,10 @@ def load_pipeline_config(path: str | Path,
     Lines are `key = value`; # starts a comment; relative paths resolve
     against the file's own directory. Dotted keys configure thresholds
     (threshold.default, threshold.source.S, threshold.language.L,
-    threshold.pair.S.L), eval criteria (eval.*), and the ingest adapter
-    (adapter.source, adapter.map.FIELD, adapter.default.FIELD).
+    threshold.pair.S.L) and the ingest adapter (adapter.source,
+    adapter.map.FIELD, adapter.default.FIELD). Eval-set criteria are not
+    pipeline settings: an eval.* key is an error that points to
+    `voxkit curate-eval`.
     """
     path = Path(path)
     base = path.parent
@@ -190,7 +192,6 @@ def load_pipeline_config(path: str | Path,
     pair_thresholds: dict[tuple[str, str], float] = {}
     source_thresholds: dict[str, float] = {}
     language_thresholds: dict[str, float] = {}
-    eval_values: dict[str, tuple[str, int]] = {}
     adapter_map: dict[str, str] = {}
     adapter_defaults: dict[str, str] = {}
     adapter_source: str | None = None
@@ -218,7 +219,9 @@ def load_pipeline_config(path: str | Path,
             else:
                 raise ConfigError(f"unknown threshold key {key!r}", line_no)
         elif key.startswith("eval."):
-            eval_values[key[len("eval."):]] = (value, line_no)
+            raise ConfigError(f"{key!r}: run_pipeline does not curate eval "
+                              f"sets; pass eval criteria to `voxkit "
+                              f"curate-eval` instead", line_no)
         elif key.startswith("adapter.map."):
             adapter_map[key[len("adapter.map."):]] = value
         elif key.startswith("adapter.default."):
@@ -294,19 +297,6 @@ def load_pipeline_config(path: str | Path,
         raise ConfigError(str(exc)) from exc
     filter_config = FilterConfig(profiles=profiles, **filter_kwargs)
 
-    eval_kwargs: dict = {}
-    eval_floats = ("min_confidence", "min_duration_s", "max_duration_s",
-                   "trailing_silence_s")
-    eval_ints = ("min_words", "target_per_language")
-    for name, (value, line_no) in eval_values.items():
-        if name in eval_floats:
-            eval_kwargs[name] = _parse_float(value, "eval." + name, line_no)
-        elif name in eval_ints:
-            eval_kwargs[name] = _parse_int(value, "eval." + name, line_no)
-        else:
-            raise ConfigError(f"unknown key 'eval.{name}'", line_no)
-    eval_criteria = EvalCriteria(**eval_kwargs)
-
     adapter = None
     if adapter_map or adapter_defaults or adapter_source:
         if not adapter_source:
@@ -332,7 +322,6 @@ def load_pipeline_config(path: str | Path,
         output_dir=output_dir,
         stages=stages,
         filter_config=filter_config,
-        eval_criteria=eval_criteria,
         profiles=profiles,
         emissions_dir=emissions_dir,
         adapter=adapter,
@@ -460,8 +449,9 @@ def _ingest(config: PipelineConfig) -> list[UtteranceRecord]:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
-                               ensure_ascii=False) + "\n", encoding="utf-8")
+    with atomic_write(path) as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True,
+                                ensure_ascii=False) + "\n")
 
 
 def run_pipeline(config: PipelineConfig,
@@ -515,8 +505,7 @@ def run_pipeline(config: PipelineConfig,
         note(f"{stage}: {len(records)} in, {len(survivors)} out")
         records = survivors
 
-    with open(config.output_dir / "rejections.jsonl", "w",
-              encoding="utf-8") as handle:
+    with atomic_write(config.output_dir / "rejections.jsonl") as handle:
         for entry in sorted(rejections, key=lambda e: e["key"]):
             handle.write(json.dumps(entry, sort_keys=True,
                                     ensure_ascii=False) + "\n")

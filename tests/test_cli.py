@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import voxkit
 from voxkit import (
     BLANK_TOKEN,
     EmissionMatrix,
@@ -434,3 +439,14 @@ def test_stitch_rate_mismatch(tmp_path):
                  str(tmp_path / "b.wav"), "-o", str(tmp_path / "o.wav"),
                  "--overlap-s", "0.1"])
     assert code == 3
+
+
+# ---------------------------------------------------------------- start-up
+
+def test_import_does_not_load_scipy_io():
+    # scipy.io is most of the import cost; only WAV reads and writes need it.
+    code = "import sys, voxkit; print('scipy.io' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(voxkit.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], check=True,
+                            capture_output=True, text=True, env=env)
+    assert result.stdout.strip() == "False"

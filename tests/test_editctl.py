@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from voxkit import (
     EditControlError,
@@ -70,6 +72,73 @@ def test_apply_penalty_input_checks():
         penalty_factor(PenaltyParams(1.0), -1)
     with pytest.raises(EditControlError):
         PenaltyParams(-0.5)
+
+
+def test_apply_penalty_history_checks():
+    logits = np.zeros(4)
+    for history in ([1, -1], np.array([0, -1], dtype=np.int32)):
+        with pytest.raises(EditControlError, match="token -1 outside"):
+            apply_penalty(logits, history, factor=2.0)
+    for history in ([0, 4], np.array([4], dtype=np.int64)):
+        with pytest.raises(EditControlError, match="token 4 outside"):
+            apply_penalty(logits, history, factor=2.0)
+    for history in ([1.0], [0, 2.5], np.array([1.0])):
+        with pytest.raises(EditControlError, match="integers"):
+            apply_penalty(logits, history, factor=2.0)
+    for history in ([[0, 1]], np.zeros((2, 2), dtype=np.int64), 3):
+        with pytest.raises(EditControlError, match="1-D"):
+            apply_penalty(logits, history, factor=2.0)
+
+
+def test_apply_penalty_empty_and_repeated_history():
+    logits = np.array([2.0, -2.0, 1.0], dtype=np.float32)
+    assert np.array_equal(apply_penalty(logits, [], 3.0), logits)
+    assert apply_penalty(logits, np.array([], dtype=np.int64), 3.0).dtype == np.float64
+    # A token repeated in the history is penalised once.
+    assert apply_penalty(logits, [0, 0, 1, 0, 1], 2.0).tolist() == [1.0, -4.0, 1.0]
+
+
+def reference_penalty(logits, history, factor):
+    """The scalar rule, applied once per distinct history token."""
+    out = np.array(logits, dtype=np.float64, copy=True)
+    for token in {int(t) for t in history}:
+        value = out[token]
+        if value > 0:
+            out[token] = value / factor
+        elif value < 0:
+            out[token] = value * factor
+    return out
+
+
+SPECIAL_LOGITS = st.sampled_from([np.nan, 0.0, -0.0, np.inf, -np.inf])
+
+
+@st.composite
+def penalty_case(draw):
+    vocab = draw(st.integers(1, 24))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    width = 32 if dtype == np.float32 else 64
+    logits = draw(arrays(dtype, vocab, elements=st.one_of(
+        SPECIAL_LOGITS, st.floats(width=width))))
+    history = draw(st.lists(st.integers(0, vocab - 1), max_size=40))
+    kind = draw(st.sampled_from(["list", "int32", "int64"]))
+    if kind != "list":
+        history = np.array(history, dtype=kind)
+    factor = draw(st.one_of(st.just(1.0), st.floats(1e-3, 1e3)))
+    return logits, history, factor
+
+
+@settings(max_examples=300, deadline=None)
+@given(penalty_case())
+def test_apply_penalty_matches_scalar_loop(case):
+    logits, history, factor = case
+    before = logits.tobytes()
+    with np.errstate(over="ignore", under="ignore"):
+        want = reference_penalty(logits, history, factor)
+        got = apply_penalty(logits, history, factor)
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    assert logits.tobytes() == before
 
 
 def test_avg_speed():

@@ -1,4 +1,7 @@
 import json
+import os
+import stat
+import threading
 
 import pytest
 
@@ -17,6 +20,7 @@ from voxkit import (
     with_words,
     write_manifest,
 )
+from voxkit import manifest as manifest_module
 from voxkit.manifest import AdapterError, quantize_time
 
 
@@ -131,6 +135,57 @@ def test_write_validates_before_touching_the_file(tmp_path):
     with pytest.raises(ManifestError):
         write_manifest([make_record(), bad], path)
     assert not path.exists()
+
+
+def test_failed_write_leaves_old_manifest(tmp_path, monkeypatch):
+    path = tmp_path / "out.jsonl"
+    write_manifest([make_record("old")], path)
+    before = path.read_bytes()
+    written = []
+
+    def fail_on_second(record):
+        written.append(record.key)
+        if len(written) == 2:
+            raise OSError("disk full")
+        return record_to_line(record)
+
+    monkeypatch.setattr(manifest_module, "record_to_line", fail_on_second)
+    with pytest.raises(OSError, match="disk full"):
+        write_manifest([make_record("a"), make_record("b")], path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
+def test_write_replaces_old_manifest(tmp_path):
+    path = tmp_path / "out.jsonl"
+    write_manifest([make_record("old")], path)
+    write_manifest([make_record("a"), make_record("b")], path)
+    assert [r.key for r in read_manifest(path)] == ["a", "b"]
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
+def test_write_through_symlink_keeps_link(tmp_path):
+    target = tmp_path / "real.jsonl"
+    write_manifest([make_record("old")], target)
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(target)
+    write_manifest([make_record("new")], link)
+    assert link.is_symlink()
+    assert [r.key for r in read_manifest(target)] == ["new"]
+
+
+def test_write_to_fifo_streams_into_it(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    write_manifest([make_record("a")], fifo)
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [(record_to_line(make_record("a")) + "\n").encode()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 def test_validate_rejects_bad_spans():

@@ -161,9 +161,6 @@ shard_count = 4
 workers = 2
 split_zh_chars = true
 score_mode = arithmetic
-eval.min_confidence = 0.95
-eval.min_words = 6
-eval.target_per_language = 100
 adapter.source = yt
 adapter.map.key = id
 adapter.map.raw_text = text
@@ -187,10 +184,6 @@ adapter.default.language = en
     assert fc.max_symbol_fraction == 0.2
     assert fc.languages == ("en", "zh")
     assert set(config.profiles) == {"en", "zh"}
-    ec = config.eval_criteria
-    assert (ec.min_confidence, ec.min_words) == (0.95, 6)
-    assert ec.target_per_language == 100
-    assert ec.min_duration_s == 3.0  # untouched default
     assert config.adapter.source == "yt"
     assert config.adapter.field_map == {"key": "id", "raw_text": "text"}
     assert config.adapter.defaults == {"language": "en"}
@@ -211,8 +204,10 @@ def test_config_errors_carry_line_numbers(tmp_path):
         ("just a line without equals\n", "key = value"),
         ("unknown_key = 5\n", "unknown key"),
         ("workers = soon\n", "integer"),
-        ("eval.min_words = 2.5\n", "integer"),
+        ("eval.min_words = 6\n", "curate-eval"),
         ("eval.surprise = 1\n", "eval.surprise"),
+        ("workers = 2\neval.min_confidence = 0.9\n",
+         "line 4: 'eval.min_confidence'"),
         ("threshold.pair.only = 0.5\n", "threshold"),
         ("adapter.map.key = id\n", "adapter.source"),
         ("score_mode = fancy\n", "score_mode"),
