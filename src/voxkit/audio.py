@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .manifest import atomic_write
+
 
 class AudioFormatError(Exception):
     pass
@@ -29,7 +31,10 @@ def read_wav(path: str | Path) -> tuple[np.ndarray, int]:
 
 
 def write_wav(path: str | Path, samples: np.ndarray, sample_rate: int) -> None:
-    """Write mono samples as 16-bit PCM (int16 input) or float32 WAV."""
+    """Write mono samples as 16-bit PCM (int16 input) or float32 WAV.
+
+    The file is replaced atomically: a failed write leaves the old one.
+    """
     from scipy.io import wavfile
 
     samples = np.asarray(samples)
@@ -41,4 +46,5 @@ def write_wav(path: str | Path, samples: np.ndarray, sample_rate: int) -> None:
         out = samples.astype(np.float32)
     else:
         raise AudioFormatError(f"unsupported sample dtype {samples.dtype}")
-    wavfile.write(str(path), int(sample_rate), out)
+    with atomic_write(path) as fh:
+        wavfile.write(fh.buffer, int(sample_rate), out)

@@ -11,23 +11,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import editctl, flowsched
-from .aligner import (AlignmentError, EmissionFormatError, align_grouped,
-                      find_emissions, load_emissions)
+from .aligner import AlignmentError
 from .audio import AudioFormatError, read_wav, write_wav
 from .curate import (CurationError, EvalCriteria, compute_stats, eligible,
                      render_stats_table, select_eval, stats_to_json_dict,
                      trim_trailing_silence)
-from .manifest import (ManifestError, SourceAdapterSpec, adapt, atomic_write,
-                       read_manifest, with_words, write_manifest)
-from .pipeline import ConfigError, PipelineError, PipelineStageError, shard
-from .quality import FilterConfig, QualityError, fit_ratio_bounds, run_chain
+from .manifest import (ManifestError, SourceAdapterSpec, atomic_write,
+                       read_manifest, write_manifest)
+from .pipeline import (ConfigError, PipelineConfig, PipelineError,
+                       PipelineStageError, add_threshold, ingest, run_stage,
+                       shard, write_rejections, write_shards)
+from .quality import FilterConfig, QualityError, fit_ratio_bounds
 from .textnorm import (EmptyTextError, ProfileError, SUPPORTED_LANGUAGES,
-                       UnmappableCharacterError, load_profiles, normalize,
-                       romanize)
+                       UnmappableCharacterError, load_profiles)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,94 +69,48 @@ def _cmd_ingest(args) -> int:
         adapter = SourceAdapterSpec(source=args.source,
                                     field_map=_parse_kv(args.map, "--map"),
                                     defaults=_parse_kv(args.default, "--default"))
-    records = []
-    if adapter is None:
-        records = list(read_manifest(args.input))
-    else:
-        with open(args.input, encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ManifestError(f"invalid JSON: {exc.msg}",
-                                        line_no=line_no) from exc
-                records.append(adapt(row, adapter))
-    count = write_manifest(records, args.output)
+    count = write_manifest(ingest(args.input, adapter), args.output)
     _progress(f"ingest: wrote {count} records to {args.output}")
     return EXIT_OK
 
 
-def _cmd_normalize(args) -> int:
-    profiles = load_profiles(profiles_dir=args.profiles)
-    out = []
-    skipped = 0
-    for record in read_manifest(args.input):
-        profile = profiles.get(record.language)
-        if profile is None:
-            raise ManifestError(f"no profile for language {record.language!r}",
-                                key=record.key)
-        try:
-            text = normalize(record.raw_text, profile)
-        except EmptyTextError:
-            if not args.skip_failed:
-                raise
-            skipped += 1
-            continue
-        updates = {"normalized_text": text}
-        if not args.no_romanize:
-            try:
-                tokens = romanize(text, record.language,
-                                  split_zh_chars=args.split_zh_chars)
-            except UnmappableCharacterError:
-                if not args.skip_failed:
-                    raise
-                skipped += 1
-                continue
-            updates["romanized_tokens"] = tuple(tokens)
-        out.append(replace(record, **updates))
-    count = write_manifest(out, args.output)
-    note = f", skipped {skipped}" if skipped else ""
-    _progress(f"normalize: wrote {count} records{note}")
+def _run_stages(args, stages: tuple[str, ...], *, skip_failed: bool = False,
+                rejects: str | None = None, **settings) -> int:
+    """Run pipeline stages over --input and write the survivors to --output.
+
+    A record a stage rejects raises the error that explains it, unless
+    skip_failed is set. Filter verdicts carry no error and are never raised.
+    """
+    config = PipelineConfig(input_path=Path(args.input),
+                            output_dir=Path(args.output).parent,
+                            stages=stages, **settings)
+    records = list(read_manifest(config.input_path))
+    rejections = []
+    for stage in stages:
+        records, rejected = run_stage(stage, records, config)
+        errors = [r.error for r in rejected if r.error is not None]
+        if errors and not skip_failed:
+            raise errors[0]
+        rejections += rejected
+    count = write_manifest(records, args.output)
+    if rejects:
+        write_rejections(rejections, rejects)
+    note = f", skipped {len(rejections)}" if rejections else ""
+    _progress(f"{args.command}: wrote {count} records{note}")
     return EXIT_OK
+
+
+def _cmd_normalize(args) -> int:
+    stages = ("normalize",) if args.no_romanize else ("normalize", "romanize")
+    return _run_stages(args, stages, skip_failed=args.skip_failed,
+                       profiles=load_profiles(profiles_dir=args.profiles),
+                       split_zh_chars=args.split_zh_chars)
 
 
 def _cmd_align(args) -> int:
-    # Records are aligned in groups, so a record's failure travels with it
-    # and is raised or skipped in input order.
-    def jobs():
-        for record in read_manifest(args.input):
-            emissions = error = None
-            if not record.romanized_tokens:
-                error = ManifestError("no romanized_tokens; normalize first",
-                                      key=record.key)
-            elif (path := find_emissions(args.emissions, record.key)) is None:
-                error = AlignmentError(f"no emissions for key {record.key!r} "
-                                       f"under {args.emissions}")
-            else:
-                try:
-                    emissions = load_emissions(path)
-                except EmissionFormatError as exc:
-                    error = exc.with_traceback(None)
-            yield (record, error), emissions, record.romanized_tokens
-
-    out = []
-    skipped = 0
-    for (record, error), result in align_grouped(jobs(), score_mode=args.score_mode):
-        if isinstance(result, AlignmentError):
-            error = result
-        if error is not None:
-            if not (args.skip_failed and isinstance(error, AlignmentError)):
-                raise error
-            skipped += 1
-            continue
-        out.append(with_words(record, result.words, result.score))
-    count = write_manifest(out, args.output)
-    note = f", skipped {skipped}" if skipped else ""
-    _progress(f"align: wrote {count} records{note}")
-    return EXIT_OK
+    return _run_stages(args, ("align",), skip_failed=args.skip_failed,
+                       emissions_dir=Path(args.emissions),
+                       score_mode=args.score_mode)
 
 
 def _filter_config_from_args(args) -> FilterConfig:
@@ -168,54 +121,18 @@ def _filter_config_from_args(args) -> FilterConfig:
         kwargs["max_duration_s"] = args.max_duration_s
     if args.max_gap_s is not None:
         kwargs["max_gap_s"] = args.max_gap_s
-    pair: dict[tuple[str, str], float] = {}
-    by_source: dict[str, float] = {}
-    by_language: dict[str, float] = {}
     for spec, value in _parse_kv(args.threshold, "--threshold").items():
         try:
-            number = float(value)
-        except ValueError:
-            raise UsageError(f"--threshold {spec} expects a number, "
-                             f"got {value!r}") from None
-        parts = spec.split(".")
-        if parts == ["default"]:
-            kwargs["default_confidence_threshold"] = number
-        elif len(parts) == 2 and parts[0] == "source":
-            by_source[parts[1]] = number
-        elif len(parts) == 2 and parts[0] == "language":
-            by_language[parts[1]] = number
-        elif len(parts) == 3 and parts[0] == "pair":
-            pair[(parts[1], parts[2])] = number
-        else:
-            raise UsageError(f"--threshold key must be default, source.S, "
-                             f"language.L, or pair.S.L, got {spec!r}")
+            add_threshold(kwargs, spec, value)
+        except ValueError as exc:
+            raise UsageError(f"--threshold: {exc}") from None
     profiles = load_profiles(profiles_dir=args.profiles)
-    return FilterConfig(profiles=profiles,
-                        thresholds_by_source_language=pair,
-                        thresholds_by_source=by_source,
-                        thresholds_by_language=by_language,
-                        **kwargs)
+    return FilterConfig(profiles=profiles, **kwargs)
 
 
 def _cmd_filter(args) -> int:
-    config = _filter_config_from_args(args)
-    kept = []
-    rejected = []
-    for record in read_manifest(args.input):
-        verdict = run_chain(record, config)
-        if verdict.passed:
-            kept.append(record)
-        else:
-            rejected.append({"key": record.key,
-                             "reasons": list(verdict.reasons)})
-    count = write_manifest(kept, args.output)
-    if args.rejects:
-        with atomic_write(args.rejects) as handle:
-            for entry in rejected:
-                handle.write(json.dumps(entry, sort_keys=True,
-                                        ensure_ascii=False) + "\n")
-    _progress(f"filter: kept {count}, rejected {len(rejected)}")
-    return EXIT_OK
+    return _run_stages(args, ("filter",), rejects=args.rejects,
+                       filter_config=_filter_config_from_args(args))
 
 
 def _cmd_fit_bounds(args) -> int:
@@ -277,13 +194,9 @@ def _cmd_stats(args) -> int:
 def _cmd_shard(args) -> int:
     records = list(read_manifest(args.input))
     assignment = shard(records, args.shards)
-    by_key = {r.key: r for r in records}
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for index in range(assignment.n_shards):
-        keys = assignment.keys_for(index)
-        write_manifest((by_key[k] for k in keys),
-                       out_dir / f"{args.prefix}{index:03d}.jsonl")
+    write_shards(records, assignment, out_dir, args.prefix)
     payload = {
         "n_shards": assignment.n_shards,
         "durations_s": [round(d, 3) for d in assignment.durations],
@@ -326,7 +239,11 @@ def _cmd_editsim(args) -> int:
                          f"got {args.flags!r}")
     flags = [ch == "1" for ch in args.flags]
     if args.frames:
-        frames = [int(f) for f in args.frames.split(",")]
+        try:
+            frames = [int(f) for f in args.frames.split(",")]
+        except ValueError:
+            raise UsageError(f"--frames must be comma-separated integers, "
+                             f"got {args.frames!r}") from None
         if len(frames) != len(flags):
             raise UsageError(f"--frames gives {len(frames)} attempts but "
                              f"--flags gives {len(flags)}")

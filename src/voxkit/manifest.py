@@ -373,8 +373,14 @@ class AdapterError(ManifestError):
     """A source row cannot be mapped onto a record."""
 
 
-def adapt(source_row: dict[str, Any], spec: SourceAdapterSpec) -> UtteranceRecord:
-    """Map one raw source row to a record, leaving alignment fields empty."""
+def adapt(source_row: dict[str, Any], spec: SourceAdapterSpec,
+          line_no: int | None = None) -> UtteranceRecord:
+    """Map one raw source row to a record, leaving alignment fields empty.
+
+    ``line_no`` is the row's line in its file, reported in any error.
+    """
+    if not isinstance(source_row, dict):
+        raise AdapterError("expected a JSON object", line_no=line_no)
     values: dict[str, Any] = {}
     for name in SourceAdapterSpec._ADAPTABLE:
         if name in spec.field_map:
@@ -386,7 +392,7 @@ def adapt(source_row: dict[str, Any], spec: SourceAdapterSpec) -> UtteranceRecor
             values[name] = spec.defaults[name]
             continue
         raise AdapterError("no mapping or default for required field",
-                           field_name=name)
+                           line_no=line_no, field_name=name)
 
     for name in ("key", "language", "audio_ref", "raw_text"):
         if not isinstance(values[name], str):
@@ -395,10 +401,11 @@ def adapt(source_row: dict[str, Any], spec: SourceAdapterSpec) -> UtteranceRecor
         values["duration_s"] = float(values["duration_s"])
     except (TypeError, ValueError) as exc:
         raise AdapterError(f"duration_s not numeric: {values['duration_s']!r}",
-                           field_name="duration_s", key=values["key"]) from exc
+                           line_no=line_no, field_name="duration_s",
+                           key=values["key"]) from exc
 
     record = UtteranceRecord(source=spec.source, **values)
-    validate_record(record)
+    validate_record(record, line_no=line_no)
     return record
 
 

@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 from .aligner import (AlignmentError, EmissionFormatError, align_grouped,
                       find_emissions, load_emissions)
@@ -103,6 +103,16 @@ def shard(records: Sequence[UtteranceRecord], n_shards: int) -> ShardAssignment:
     return ShardAssignment(n_shards, shard_of, tuple(durations))
 
 
+def write_shards(records: Sequence[UtteranceRecord], assignment: ShardAssignment,
+                 out_dir: Path, prefix: str) -> None:
+    """Write each shard's records, sorted by key, to out_dir/{prefix}NNN.jsonl."""
+    by_key = {r.key: r for r in records}
+    for index in range(assignment.n_shards):
+        keys = assignment.keys_for(index)
+        write_manifest((by_key[k] for k in keys),
+                       out_dir / f"{prefix}{index:03d}.jsonl")
+
+
 def parallel_map(fn: Callable[[T], U], items: Iterable[T],
                  workers: int = 1) -> list[U]:
     """Map fn over items, preserving input order regardless of worker count."""
@@ -169,6 +179,32 @@ def _parse_int(value: str, key: str, line_no: int) -> int:
         raise ConfigError(f"{key} expects an integer, got {value!r}", line_no) from None
 
 
+def add_threshold(filter_kwargs: dict, spec: str, value: str) -> None:
+    """Put one confidence threshold into FilterConfig keyword arguments.
+
+    spec is default, source.S, language.L or pair.S.L. Raises ValueError
+    for an unknown spec or a value that is not a number.
+    """
+    try:
+        number = float(value)
+    except ValueError:
+        raise ValueError(f"threshold {spec!r} expects a number, "
+                         f"got {value!r}") from None
+    parts = spec.split(".")
+    if parts == ["default"]:
+        filter_kwargs["default_confidence_threshold"] = number
+    elif len(parts) == 2 and parts[0] == "source":
+        filter_kwargs.setdefault("thresholds_by_source", {})[parts[1]] = number
+    elif len(parts) == 2 and parts[0] == "language":
+        filter_kwargs.setdefault("thresholds_by_language", {})[parts[1]] = number
+    elif len(parts) == 3 and parts[0] == "pair":
+        filter_kwargs.setdefault("thresholds_by_source_language",
+                                 {})[(parts[1], parts[2])] = number
+    else:
+        raise ValueError(f"unknown threshold {spec!r}; use default, source.S, "
+                         f"language.L or pair.S.L")
+
+
 def load_pipeline_config(path: str | Path,
                          profiles_dir: str | Path | None = None) -> PipelineConfig:
     """Parse a key=value pipeline configuration file.
@@ -189,12 +225,11 @@ def load_pipeline_config(path: str | Path,
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
     plain: dict[str, tuple[str, int]] = {}
-    pair_thresholds: dict[tuple[str, str], float] = {}
-    source_thresholds: dict[str, float] = {}
-    language_thresholds: dict[str, float] = {}
+    filter_kwargs: dict = {}
     adapter_map: dict[str, str] = {}
     adapter_defaults: dict[str, str] = {}
     adapter_source: str | None = None
+    seen: set[str] = set()
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -205,19 +240,14 @@ def load_pipeline_config(path: str | Path,
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
             raise ConfigError(f"empty key or value in {line!r}", line_no)
+        if key in seen:
+            raise ConfigError(f"duplicate key {key!r}", line_no)
+        seen.add(key)
         if key.startswith("threshold."):
-            parts = key.split(".")
-            number = _parse_float(value, key, line_no)
-            if parts[1:] == ["default"]:
-                plain["threshold.default"] = (value, line_no)
-            elif len(parts) == 3 and parts[1] == "source":
-                source_thresholds[parts[2]] = number
-            elif len(parts) == 3 and parts[1] == "language":
-                language_thresholds[parts[2]] = number
-            elif len(parts) == 4 and parts[1] == "pair":
-                pair_thresholds[(parts[2], parts[3])] = number
-            else:
-                raise ConfigError(f"unknown threshold key {key!r}", line_no)
+            try:
+                add_threshold(filter_kwargs, key[len("threshold."):], value)
+            except ValueError as exc:
+                raise ConfigError(str(exc), line_no) from None
         elif key.startswith("eval."):
             raise ConfigError(f"{key!r}: run_pipeline does not curate eval "
                               f"sets; pass eval criteria to `voxkit "
@@ -229,11 +259,9 @@ def load_pipeline_config(path: str | Path,
         elif key == "adapter.source":
             adapter_source = value
         elif key in ("input", "output_dir", "emissions_dir", "stages",
-                     "languages", "threshold.default", "min_duration_s",
-                     "max_duration_s", "max_gap_s", "max_symbol_fraction",
-                     "shard_count", "workers", "split_zh_chars", "score_mode"):
-            if key in plain:
-                raise ConfigError(f"duplicate key {key!r}", line_no)
+                     "languages", "min_duration_s", "max_duration_s",
+                     "max_gap_s", "max_symbol_fraction", "shard_count",
+                     "workers", "split_zh_chars", "score_mode"):
             plain[key] = (value, line_no)
         else:
             raise ConfigError(f"unknown key {key!r}", line_no)
@@ -270,22 +298,11 @@ def load_pipeline_config(path: str | Path,
     else:
         languages = None
 
-    filter_kwargs: dict = {
-        "thresholds_by_source_language": pair_thresholds,
-        "thresholds_by_source": source_thresholds,
-        "thresholds_by_language": language_thresholds,
-    }
-    simple_floats = {
-        "threshold.default": "default_confidence_threshold",
-        "min_duration_s": "min_duration_s",
-        "max_duration_s": "max_duration_s",
-        "max_gap_s": "max_gap_s",
-        "max_symbol_fraction": "max_symbol_fraction",
-    }
-    for key, attr in simple_floats.items():
+    for key in ("min_duration_s", "max_duration_s", "max_gap_s",
+                "max_symbol_fraction"):
         entry = take(key)
         if entry is not None:
-            filter_kwargs[attr] = _parse_float(entry[0], key, entry[1])
+            filter_kwargs[key] = _parse_float(entry[0], key, entry[1])
     if languages is not None:
         filter_kwargs["languages"] = languages
     try:
@@ -338,17 +355,28 @@ def load_pipeline_config(path: str | Path,
 class _StageOutcome:
     record: UtteranceRecord | None    # None when rejected
     reasons: tuple[str, ...] = ()
+    error: Exception | None = None    # explains a rejection; None for a filter verdict
+
+
+class Rejection(NamedTuple):
+    """A record a stage dropped, why, and the error that explains it."""
+
+    key: str
+    stage: str
+    reasons: tuple[str, ...]
+    error: Exception | None
 
 
 def _stage_normalize(record: UtteranceRecord,
                      config: PipelineConfig) -> _StageOutcome:
     profile = config.profiles.get(record.language)
     if profile is None:
-        return _StageOutcome(None, ("bad_language",))
+        return _StageOutcome(None, ("bad_language",), ManifestError(
+            f"no profile for language {record.language!r}", key=record.key))
     try:
         normalized = normalize(record.raw_text, profile)
-    except EmptyTextError:
-        return _StageOutcome(None, ("empty_text",))
+    except EmptyTextError as exc:
+        return _StageOutcome(None, ("empty_text",), exc)
     return _StageOutcome(replace(record, normalized_text=normalized))
 
 
@@ -358,10 +386,11 @@ def _stage_romanize(record: UtteranceRecord,
     try:
         tokens = romanize(text, record.language,
                           split_zh_chars=config.split_zh_chars)
-    except UnmappableCharacterError:
-        return _StageOutcome(None, ("unmappable_char",))
+    except UnmappableCharacterError as exc:
+        return _StageOutcome(None, ("unmappable_char",), exc)
     if not tokens:
-        return _StageOutcome(None, ("empty_text",))
+        return _StageOutcome(None, ("empty_text",), EmptyTextError(
+            f"record {record.key!r}: romanization left no tokens"))
     return _StageOutcome(replace(record, romanized_tokens=tuple(tokens)))
 
 
@@ -370,29 +399,32 @@ def _stage_align(records: list[UtteranceRecord],
     """Align consecutive records together, in groups of bounded memory."""
     def jobs():
         for record in records:
-            emissions = reason = None
+            emissions = outcome = None
             try:
                 path = find_emissions(config.emissions_dir, record.key)
                 if path is None:
-                    reason = "missing_emissions"
+                    outcome = _StageOutcome(None, ("missing_emissions",), AlignmentError(
+                        f"no emissions for key {record.key!r} under "
+                        f"{config.emissions_dir}"))
                 elif not record.romanized_tokens:
-                    reason = "empty_text"
+                    outcome = _StageOutcome(None, ("empty_text",), ManifestError(
+                        "no romanized_tokens; normalize first", key=record.key))
                 else:
                     emissions = load_emissions(path)
-            except EmissionFormatError:
-                reason = "bad_emissions"
+            except EmissionFormatError as exc:
+                outcome = _StageOutcome(None, ("bad_emissions",), exc)
             except Exception as exc:
                 raise PipelineStageError("align", record.key, str(exc)) from exc
-            yield (record, reason), emissions, record.romanized_tokens
+            yield (record, outcome), emissions, record.romanized_tokens
 
     outcomes: list[_StageOutcome] = []
     try:
-        for (record, reason), result in align_grouped(
+        for (record, outcome), result in align_grouped(
                 jobs(), score_mode=config.score_mode):
-            if reason is not None:
-                outcomes.append(_StageOutcome(None, (reason,)))
+            if outcome is not None:
+                outcomes.append(outcome)
             elif isinstance(result, AlignmentError):
-                outcomes.append(_StageOutcome(None, ("unalignable",)))
+                outcomes.append(_StageOutcome(None, ("unalignable",), result))
             else:
                 outcomes.append(_StageOutcome(
                     with_words(record, result.words, result.score)))
@@ -422,14 +454,62 @@ _STAGE_FNS = {
 }
 
 
+def run_stage(stage: str, records: list[UtteranceRecord], config: PipelineConfig
+              ) -> tuple[list[UtteranceRecord], list[Rejection]]:
+    """Run one stage over records: its survivors and its rejections, in input order.
+
+    A record the stage cannot handle for a reason that is not a rejection
+    raises PipelineStageError.
+    """
+    if stage == "align":
+        outcomes = _stage_align(records, config)
+    else:
+        fn = _STAGE_FNS[stage]
+
+        def run_one(record: UtteranceRecord) -> _StageOutcome:
+            try:
+                return fn(record, config)
+            except (PipelineError, ManifestError):
+                raise
+            except Exception as exc:
+                raise PipelineStageError(stage, record.key, str(exc)) from exc
+
+        outcomes = parallel_map(run_one, records, config.workers)
+    survivors: list[UtteranceRecord] = []
+    rejections: list[Rejection] = []
+    for record, outcome in zip(records, outcomes):
+        if outcome.record is not None:
+            survivors.append(outcome.record)
+        else:
+            rejections.append(Rejection(record.key, stage, outcome.reasons,
+                                        outcome.error))
+    return survivors, rejections
+
+
+def write_rejections(rejections: Iterable[Rejection], path: str | Path) -> None:
+    """Write one JSON line per rejection (key, stage, reasons), sorted by key."""
+    with atomic_write(path) as handle:
+        for rejection in sorted(rejections, key=lambda r: r.key):
+            handle.write(json.dumps({"key": rejection.key,
+                                     "stage": rejection.stage,
+                                     "reasons": list(rejection.reasons)},
+                                    sort_keys=True, ensure_ascii=False) + "\n")
+
+
 # ------------------------------------------------------------ orchestration
 
-def _ingest(config: PipelineConfig) -> list[UtteranceRecord]:
-    if config.adapter is None:
-        return list(read_manifest(config.input_path))
+def ingest(path: str | Path,
+           adapter: SourceAdapterSpec | None) -> list[UtteranceRecord]:
+    """Read a manifest, or with an adapter, map each JSON row to a record.
+
+    Errors carry the line number of the offending row; a key that repeats
+    is an error.
+    """
+    if adapter is None:
+        return list(read_manifest(path))
     records = []
     seen: set[str] = set()
-    with open(config.input_path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
@@ -439,7 +519,7 @@ def _ingest(config: PipelineConfig) -> list[UtteranceRecord]:
             except json.JSONDecodeError as exc:
                 raise ManifestError(f"invalid JSON: {exc.msg}",
                                     line_no=line_no) from exc
-            record = adapt(row, config.adapter)
+            record = adapt(row, adapter, line_no=line_no)
             if record.key in seen:
                 raise ManifestError("duplicate key", line_no=line_no,
                                     key=record.key)
@@ -468,58 +548,33 @@ def run_pipeline(config: PipelineConfig,
             progress(message)
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    records = _ingest(config)
+    records = ingest(config.input_path, config.adapter)
     n_input = len(records)
     note(f"ingest: {n_input} records")
 
     stage_counts: dict[str, dict[str, int]] = {}
     histogram: dict[str, int] = {}
-    rejections: list[dict] = []
+    rejections: list[Rejection] = []
 
     for stage in config.stages:
-        if stage == "align":
-            outcomes = _stage_align(records, config)
-        else:
-            fn = _STAGE_FNS[stage]
-
-            def run_one(record: UtteranceRecord) -> _StageOutcome:
-                try:
-                    return fn(record, config)
-                except (PipelineError, ManifestError):
-                    raise
-                except Exception as exc:
-                    raise PipelineStageError(stage, record.key, str(exc)) from exc
-
-            outcomes = parallel_map(run_one, records, config.workers)
-        survivors = []
-        for record, outcome in zip(records, outcomes):
-            if outcome.record is not None:
-                survivors.append(outcome.record)
-                continue
-            rejections.append({"key": record.key, "stage": stage,
-                               "reasons": list(outcome.reasons)})
-            for reason in outcome.reasons:
+        survivors, rejected = run_stage(stage, records, config)
+        for rejection in rejected:
+            for reason in rejection.reasons:
                 histogram[reason] = histogram.get(reason, 0) + 1
+        rejections += rejected
         stage_counts[stage] = {"in": len(records), "out": len(survivors)}
         write_manifest(survivors, config.output_dir / f"{stage}.jsonl")
         note(f"{stage}: {len(records)} in, {len(survivors)} out")
         records = survivors
 
-    with atomic_write(config.output_dir / "rejections.jsonl") as handle:
-        for entry in sorted(rejections, key=lambda e: e["key"]):
-            handle.write(json.dumps(entry, sort_keys=True,
-                                    ensure_ascii=False) + "\n")
+    write_rejections(rejections, config.output_dir / "rejections.jsonl")
 
     stats = compute_stats(records)
     _write_json(config.output_dir / "stats.json", stats_to_json_dict(stats))
 
     if config.shard_count > 1:
         assignment = shard(records, config.shard_count)
-        by_key = {r.key: r for r in records}
-        for index in range(assignment.n_shards):
-            keys = assignment.keys_for(index)
-            write_manifest((by_key[k] for k in keys),
-                           config.output_dir / f"shard_{index:03d}.jsonl")
+        write_shards(records, assignment, config.output_dir, "shard_")
         note(f"shard: {config.shard_count} shards, "
              f"{max(assignment.durations, default=0.0):.1f}s max")
 

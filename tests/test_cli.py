@@ -11,9 +11,15 @@ import voxkit
 from voxkit import (
     BLANK_TOKEN,
     EmissionMatrix,
+    FilterConfig,
+    PipelineConfig,
     UtteranceRecord,
     WordSpan,
+    load_profiles,
+    normalize,
     read_wav,
+    romanize,
+    run_pipeline,
     save_emissions,
     stitch,
     write_manifest,
@@ -108,6 +114,22 @@ def test_ingest_with_adapter(tmp_path):
     assert row["source"] == "web"
 
 
+def test_ingest_errors_carry_line_numbers(tmp_path, capsys):
+    src = tmp_path / "rows.jsonl"
+    argv = ["ingest", "-i", str(src), "-o", str(tmp_path / "out.jsonl"),
+            "--source", "web", "--map", "key=id", "--map", "raw_text=text",
+            "--default", "language=en", "--default", "audio_ref=a.wav",
+            "--default", "duration_s=1.0"]
+    good = json.dumps({"id": "r1", "text": "hello"})
+    for second, fragment in [("[1, 2]", "line 2: expected a JSON object"),
+                             (json.dumps({"text": "no id"}),
+                              "line 2, field 'key'"),
+                             (good, "line 2, key 'r1': duplicate key")]:
+        src.write_text(f"{good}\n{second}\n", encoding="utf-8")
+        assert main(argv) == 2
+        assert fragment in capsys.readouterr().err
+
+
 def test_ingest_map_without_source(tmp_path):
     src = manifest_of(tmp_path, [rec("a")])
     assert main(["ingest", "-i", str(src), "-o",
@@ -138,6 +160,18 @@ def test_normalize_no_romanize_and_skip_failed(tmp_path, capsys):
     assert [r["key"] for r in rows] == ["ok"]
     assert rows[0]["romanized_tokens"] == []
     assert "skipped 1" in capsys.readouterr().err
+
+
+def test_normalize_rejections_follow_the_pipeline(tmp_path):
+    # No profile for the language, and text that romanizes to no tokens.
+    for bad in (rec("bad", language="xx", confidence=None),
+                rec("bad", text="!!!", confidence=None)):
+        src = manifest_of(tmp_path, [rec("ok", confidence=None), bad])
+        out = tmp_path / "norm.jsonl"
+        argv = ["normalize", "-i", str(src), "-o", str(out)]
+        assert main(argv) == 2
+        assert main(argv + ["--skip-failed"]) == 0
+        assert [r["key"] for r in read_lines(out)] == ["ok"]
 
 
 # ------------------------------------------------------------------ align
@@ -181,6 +215,20 @@ def test_align_missing_emissions(tmp_path, capsys):
             "--emissions", str(emit)]
     assert main(args) == 3
     assert "stage failure" in capsys.readouterr().err
+    assert main(args + ["--skip-failed"]) == 0
+    assert read_lines(out) == []
+
+
+def test_align_skip_failed_drops_records_without_tokens(tmp_path, capsys):
+    record = rec("a", confidence=None, duration_s=4.0, text="hi there")
+    src = manifest_of(tmp_path, [record])
+    emit = tmp_path / "emit"
+    emit.mkdir()
+    save_emissions(peaked_emissions(("hi", "there"), 4.0), emit / "a.npz")
+    out = tmp_path / "aligned.jsonl"
+    args = ["align", "-i", str(src), "-o", str(out), "--emissions", str(emit)]
+    assert main(args) == 2
+    assert "normalize first" in capsys.readouterr().err
     assert main(args + ["--skip-failed"]) == 0
     assert read_lines(out) == []
 
@@ -231,10 +279,69 @@ def test_align_long_utterance(tmp_path):
     assert row["avg_confidence"] > 0.9
 
 
+# ------------------------------------------------------ pipeline parity
+
+def test_cli_stages_match_run_pipeline(tmp_path):
+    profiles = load_profiles()
+    records = [
+        rec("ok1", 8.0, text="this is a perfectly normal sentence here",
+            confidence=None),
+        rec("ok2", 7.0, text="another entirely ordinary line of words",
+            confidence=None),
+        rec("badlang", 5.0, language="xx", confidence=None),
+        rec("emptied", 5.0, text="!!!", confidence=None),
+        rec("greek", 5.0, text="αβγ δεζ", confidence=None),
+        rec("lost", 6.0, text="some gentle words in a quiet room",
+            confidence=None),
+        rec("corrupt", 6.0, text="some gentle words in a quiet room",
+            confidence=None),
+        rec("tight", 6.0, text="some gentle words in a quiet room",
+            confidence=None),
+        rec("brief", 0.4, text="hi there", confidence=None),
+    ]
+    src = manifest_of(tmp_path, records)
+    emit = tmp_path / "emit"
+    emit.mkdir()
+    for record in records:
+        if record.key in ("ok1", "ok2", "brief", "corrupt", "tight"):
+            tokens = romanize(normalize(record.raw_text, profiles["en"]), "en")
+            save_emissions(peaked_emissions(tokens, record.duration_s),
+                           emit / f"{record.key}.npz")
+    (emit / "corrupt.npz").write_bytes(b"not an archive")
+    vocab = (BLANK_TOKEN, "s", "o", "m", "e")
+    save_emissions(EmissionMatrix(np.log(np.full((2, 5), 0.2)), 0.02, vocab),
+                   emit / "tight.npz")
+
+    out = tmp_path / "pipeline"
+    summary = run_pipeline(PipelineConfig(
+        input_path=src, output_dir=out, emissions_dir=emit, profiles=profiles,
+        filter_config=FilterConfig(profiles=profiles)))
+    assert set(summary["rejections"]) == {
+        "bad_language", "empty_text", "unmappable_char", "missing_emissions",
+        "bad_emissions", "unalignable", "too_short"}
+
+    norm, aligned, kept, rejects = (tmp_path / f"{name}.jsonl" for name in
+                                    ("norm", "aligned", "kept", "rejects"))
+    assert main(["normalize", "-i", str(src), "-o", str(norm),
+                 "--skip-failed"]) == 0
+    assert main(["align", "-i", str(norm), "-o", str(aligned),
+                 "--emissions", str(emit), "--skip-failed"]) == 0
+    assert main(["filter", "-i", str(aligned), "-o", str(kept),
+                 "--rejects", str(rejects)]) == 0
+    assert norm.read_bytes() == (out / "romanize.jsonl").read_bytes()
+    assert aligned.read_bytes() == (out / "align.jsonl").read_bytes()
+    assert kept.read_bytes() == (out / "filter.jsonl").read_bytes()
+    filter_lines = [line for line in (out / "rejections.jsonl")
+                    .read_text(encoding="utf-8").splitlines(keepends=True)
+                    if json.loads(line)["stage"] == "filter"]
+    assert rejects.read_text(encoding="utf-8") == "".join(filter_lines)
+
+
 # ----------------------------------------------------------------- filter
 
 def test_filter_writes_rejects(tmp_path):
-    records = [rec("keep"), rec("drop", duration_s=0.4, text="hi there all")]
+    records = [rec("keep"), rec("drop", duration_s=0.4, text="hi there all"),
+               rec("dim", confidence=0.1)]
     src = manifest_of(tmp_path, records)
     out = tmp_path / "kept.jsonl"
     rejects = tmp_path / "rejects.jsonl"
@@ -242,7 +349,10 @@ def test_filter_writes_rejects(tmp_path):
                  "--rejects", str(rejects)])
     assert code == 0
     assert [r["key"] for r in read_lines(out)] == ["keep"]
-    assert read_lines(rejects) == [{"key": "drop", "reasons": ["too_short"]}]
+    assert read_lines(rejects) == [
+        {"key": "dim", "stage": "filter", "reasons": ["low_confidence"]},
+        {"key": "drop", "stage": "filter", "reasons": ["too_short"]},
+    ]
 
 
 def test_filter_threshold_flags(tmp_path):
@@ -403,6 +513,7 @@ def test_editsim_bad_flags():
             "--mask", "5", "20"]
     assert main(base + ["--flags", "1x0"]) == 1
     assert main(base + ["--flags", "11", "--frames", "4"]) == 1
+    assert main(base + ["--flags", "11", "--frames", "1,x"]) == 1
 
 
 # ----------------------------------------------------------------- stitch
@@ -439,6 +550,25 @@ def test_stitch_rate_mismatch(tmp_path):
                  str(tmp_path / "b.wav"), "-o", str(tmp_path / "o.wav"),
                  "--overlap-s", "0.1"])
     assert code == 3
+
+
+def test_write_wav_failure_keeps_old_file(tmp_path, monkeypatch):
+    from scipy.io import wavfile
+    path = tmp_path / "out.wav"
+    write_wav(path, np.zeros(100, dtype=np.int16), 8000)
+    before = path.read_bytes()
+
+    real_write = wavfile.write
+
+    def broken(target, rate, data):
+        real_write(target, rate, data[:10])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(wavfile, "write", broken)
+    with pytest.raises(OSError):
+        write_wav(path, np.ones(50, dtype=np.int16), 8000)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.wav"]
 
 
 # ---------------------------------------------------------------- start-up

@@ -212,6 +212,12 @@ def test_config_errors_carry_line_numbers(tmp_path):
         ("adapter.map.key = id\n", "adapter.source"),
         ("score_mode = fancy\n", "score_mode"),
         ("workers = 2\nworkers = 3\n", "duplicate"),
+        ("threshold.default = 0.3\nthreshold.default = 0.9\n",
+         "line 4: duplicate key 'threshold.default'"),
+        ("threshold.source.web = 0.5\nthreshold.source.web = 0.7\n",
+         "line 4: duplicate key 'threshold.source.web'"),
+        ("adapter.source = web\nadapter.map.key = key\nadapter.map.key = id\n",
+         "line 5: duplicate key 'adapter.map.key'"),
         ("stages = filter align\n", "emissions_dir"),
     ]
     for body, fragment in cases:
@@ -470,3 +476,25 @@ def test_run_pipeline_with_adapter(tmp_path):
                      .read_text(encoding="utf-8").splitlines()[0])
     assert row["source"] == "vlogs"
     assert row["normalized_text"]
+
+
+def test_ingest_errors_carry_line_numbers(tmp_path):
+    from voxkit import SourceAdapterSpec
+    from voxkit.manifest import AdapterError, ManifestError
+    from voxkit.pipeline import ingest
+    adapter = SourceAdapterSpec(
+        source="web", field_map={"key": "id", "raw_text": "text"},
+        defaults={"language": "en", "audio_ref": "a.wav", "duration_s": 1.0})
+    good = json.dumps({"id": "r1", "text": "hello"})
+    rows = tmp_path / "rows.jsonl"
+    cases = [("[1, 2]", ManifestError, "line 2: expected a JSON object"),
+             (json.dumps({"text": "no id"}), AdapterError,
+              "line 2, field 'key': no mapping"),
+             (good, ManifestError, "line 2, key 'r1': duplicate key")]
+    for second, error, fragment in cases:
+        rows.write_text(f"{good}\n{second}\n", encoding="utf-8")
+        with pytest.raises(error) as err:
+            ingest(rows, adapter)
+        assert err.value.line_no == 2
+        assert fragment in str(err.value)
+
