@@ -195,7 +195,6 @@ def _cmd_shard(args) -> int:
     records = list(read_manifest(args.input))
     assignment = shard(records, args.shards)
     out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_shards(records, assignment, out_dir, args.prefix)
     payload = {
         "n_shards": assignment.n_shards,

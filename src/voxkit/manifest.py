@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -37,6 +38,12 @@ _FIELD_ORDER = (
 _REQUIRED_FIELDS = ("key", "language", "audio_ref", "duration_s", "raw_text")
 
 _WORD_FIELDS = ("word", "start_s", "end_s", "score")
+
+# The exact types a JSON number decodes to; bool, a subclass of int, is not one.
+_NUMBER_TYPES = (int, float)
+
+# json.dumps(..., ensure_ascii=False), built once rather than per line.
+_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 # Tolerance for checking avg_confidence against the mean of word scores.
 _CONFIDENCE_TOL = 1e-6
@@ -112,6 +119,10 @@ class UtteranceRecord:
     avg_confidence: float | None = None
     source: str = ""
     extra: dict[str, Any] = field(default_factory=dict)
+    # Set by validate_record once the record has passed. The record is
+    # frozen, so the mark cannot go stale; copies made with replace() start
+    # unmarked.
+    _validated: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # Canonicalize container types so equality is insensitive to whether
@@ -167,6 +178,16 @@ def _check_number(obj: dict, name: str, line_no: int | None) -> float:
 
 
 def _parse_word(obj: Any, line_no: int | None, index: int) -> WordSpan:
+    # Fast path for a well-formed word; anything else takes the checks below,
+    # which word the error.
+    if type(obj) is dict:
+        word = obj.get("word")
+        start_s = obj.get("start_s")
+        end_s = obj.get("end_s")
+        score = obj.get("score")
+        if (type(word) is str and type(start_s) in _NUMBER_TYPES
+                and type(end_s) in _NUMBER_TYPES and type(score) in _NUMBER_TYPES):
+            return WordSpan(word, float(start_s), float(end_s), float(score))
     if not isinstance(obj, dict):
         raise _type_error(line_no, f"words[{index}]", "object", obj)
     for name in _WORD_FIELDS:
@@ -226,7 +247,10 @@ def record_from_json_dict(obj: dict[str, Any], line_no: int | None = None) -> Ut
 
 
 def validate_record(record: UtteranceRecord, line_no: int | None = None) -> None:
-    """Raise SchemaError if the record violates a manifest invariant."""
+    """Raise SchemaError if the record violates a manifest invariant.
+
+    A record that passes is marked, and write_manifest does not check it again.
+    """
     if not record.key:
         raise SchemaError("key must be non-empty", line_no=line_no, field_name="key")
     if not record.language:
@@ -239,24 +263,26 @@ def validate_record(record: UtteranceRecord, line_no: int | None = None) -> None
         raise SchemaError(f"avg_confidence {record.avg_confidence} outside [0, 1]",
                           line_no=line_no, field_name="avg_confidence", key=record.key)
 
+    duration_q = quantize_time(record.duration_s)
     prev_end = None
     for i, span in enumerate(record.words):
-        name = f"words[{i}]"
         if not (0.0 <= span.start_s < span.end_s):
             raise SchemaError(
                 f"span [{span.start_s}, {span.end_s}) is empty or negative",
-                line_no=line_no, field_name=name, key=record.key)
-        if quantize_time(span.end_s) > quantize_time(record.duration_s):
+                line_no=line_no, field_name=f"words[{i}]", key=record.key)
+        # Rounding is monotone and duration_q is already rounded, so an end
+        # at or below duration_q cannot round past it.
+        if span.end_s > duration_q and quantize_time(span.end_s) > duration_q:
             raise SchemaError(
                 f"span ends at {span.end_s} beyond duration {record.duration_s}",
-                line_no=line_no, field_name=name, key=record.key)
+                line_no=line_no, field_name=f"words[{i}]", key=record.key)
         if not (0.0 <= span.score <= 1.0):
             raise SchemaError(f"score {span.score} outside [0, 1]",
-                              line_no=line_no, field_name=name, key=record.key)
+                              line_no=line_no, field_name=f"words[{i}]", key=record.key)
         if prev_end is not None and span.start_s < prev_end:
             raise SchemaError(
                 f"span starts at {span.start_s} before previous end {prev_end}",
-                line_no=line_no, field_name=name, key=record.key)
+                line_no=line_no, field_name=f"words[{i}]", key=record.key)
         prev_end = span.end_s
 
     if record.words:
@@ -271,11 +297,12 @@ def validate_record(record: UtteranceRecord, line_no: int | None = None) -> None
                     f"avg_confidence {record.avg_confidence} does not match word "
                     f"score mean {mean_score}", line_no=line_no,
                     field_name="avg_confidence", key=record.key)
+    object.__setattr__(record, "_validated", True)
 
 
 def record_to_line(record: UtteranceRecord) -> str:
     """Serialize one record to its canonical JSONL line (no newline)."""
-    return json.dumps(record.to_json_dict(), ensure_ascii=False)
+    return _LINE_ENCODER.encode(record.to_json_dict())
 
 
 def read_manifest(path: str | Path) -> Iterator[UtteranceRecord]:
@@ -314,11 +341,17 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
     /dev/stdout) cannot be replaced and is written directly.
     """
     path = Path(path)
-    if path.exists() and not path.is_file():
+    try:
+        mode = os.lstat(path).st_mode
+        if stat.S_ISLNK(mode):
+            path = Path(os.path.realpath(path))
+            mode = os.stat(path).st_mode
+    except (FileNotFoundError, NotADirectoryError):
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
         return
-    path = Path(os.path.realpath(path))
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
@@ -335,16 +368,22 @@ def write_manifest(records: Iterable[UtteranceRecord], path: str | Path) -> int:
     Output is byte-stable: the same records always produce the same file.
     Duplicate keys are rejected before anything is written, and the file
     is replaced atomically, so a failed write leaves the old one in place.
+    A record is validated unless it already passed validate_record.
     """
-    records = list(records)
+    return _write_records(list(records), Path(path), make_parent=True)
+
+
+def _write_records(records: list[UtteranceRecord], path: Path, make_parent: bool) -> int:
+    """write_manifest; with make_parent false the directory must exist."""
     seen: set[str] = set()
     for record in records:
-        validate_record(record)
+        if not record._validated:
+            validate_record(record)
         if record.key in seen:
             raise DuplicateKeyError("key appears more than once", key=record.key)
         seen.add(record.key)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    if make_parent:
+        path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_write(path) as fh:
         for record in records:
             fh.write(record_to_line(record))

@@ -20,8 +20,8 @@ from .aligner import (AlignmentError, EmissionFormatError, align_grouped,
                       find_emissions, load_emissions)
 from .curate import compute_stats, stats_to_json_dict
 from .manifest import (ManifestError, SourceAdapterSpec, UtteranceRecord,
-                       adapt, atomic_write, read_manifest, with_words,
-                       write_manifest)
+                       _write_records, adapt, atomic_write, read_manifest,
+                       with_words, write_manifest)
 from .quality import FilterConfig, run_chain
 from .textnorm import (EmptyTextError, LanguageProfile, ProfileError,
                        UnmappableCharacterError, load_profiles, normalize,
@@ -107,10 +107,11 @@ def write_shards(records: Sequence[UtteranceRecord], assignment: ShardAssignment
                  out_dir: Path, prefix: str) -> None:
     """Write each shard's records, sorted by key, to out_dir/{prefix}NNN.jsonl."""
     by_key = {r.key: r for r in records}
+    out_dir.mkdir(parents=True, exist_ok=True)
     for index in range(assignment.n_shards):
         keys = assignment.keys_for(index)
-        write_manifest((by_key[k] for k in keys),
-                       out_dir / f"{prefix}{index:03d}.jsonl")
+        _write_records([by_key[k] for k in keys],
+                       out_dir / f"{prefix}{index:03d}.jsonl", make_parent=False)
 
 
 def parallel_map(fn: Callable[[T], U], items: Iterable[T],

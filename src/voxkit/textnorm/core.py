@@ -106,6 +106,23 @@ def normalize(text: str, profile: LanguageProfile) -> str:
     return out
 
 
+# Character classes for validate_charset.
+_OK, _SPACE, _SOFT, _HARD = range(4)
+
+
+def _char_class(ch: str, profile: LanguageProfile) -> int:
+    """Whitespace; symbol, control or out-of-range letter (hard); punctuation
+    missing from the whitelist (soft); or allowed."""
+    if ch.isspace():
+        return _SPACE
+    cat = unicodedata.category(ch)
+    if cat[0] in ("S", "C"):
+        return _HARD
+    if cat[0] == "P":
+        return _OK if ch in profile.punctuation else _SOFT
+    return _OK if profile.allows(ch) else _HARD
+
+
 def validate_charset(text: str, profile: LanguageProfile,
                      max_symbol_fraction: float = DEFAULT_MAX_SYMBOL_FRACTION) -> CharsetVerdict:
     """Check text against the profile's allowed character set.
@@ -115,25 +132,30 @@ def validate_charset(text: str, profile: LanguageProfile,
     whitelist is tolerated up to ``max_symbol_fraction`` of the non-space
     characters; beyond that the text fails as symbol-heavy.
     """
-    hard: set[str] = set()
+    # Each distinct character is classified once per profile (see
+    # _char_class); only spaces and soft punctuation need their counts.
+    classes = profile._char_classes
+    hard: list[str] = []
     soft: list[str] = []
-    total = 0
-    for ch in text:
-        if ch.isspace():
+    n_soft = 0
+    total = len(text)
+    for ch in set(text):
+        cls = classes.get(ch)
+        if cls is None:
+            cls = classes[ch] = _char_class(ch, profile)
+        if cls == _OK:
             continue
-        total += 1
-        cat = unicodedata.category(ch)
-        if cat[0] in ("S", "C"):
-            hard.add(ch)
-        elif cat[0] == "P":
-            if ch not in profile.punctuation:
-                soft.append(ch)
-        elif not profile.allows(ch):
-            hard.add(ch)
+        if cls == _HARD:
+            hard.append(ch)
+        elif cls == _SPACE:
+            total -= text.count(ch)
+        else:
+            soft.append(ch)
+            n_soft += text.count(ch)
     if hard:
         return CharsetVerdict(False, tuple(sorted(hard)), "disallowed_characters")
-    if total and len(soft) / total > max_symbol_fraction:
-        return CharsetVerdict(False, tuple(sorted(set(soft))), "excessive_symbols")
+    if total and n_soft / total > max_symbol_fraction:
+        return CharsetVerdict(False, tuple(sorted(soft)), "excessive_symbols")
     return CharsetVerdict(True)
 
 
@@ -141,7 +163,8 @@ def char_ratio(text: str, duration_s: float) -> float:
     """Non-whitespace characters per second of audio."""
     if duration_s <= 0:
         raise ValueError(f"duration must be positive, got {duration_s}")
-    count = sum(1 for ch in text if not ch.isspace())
+    # str.split() splits on exactly the characters str.isspace() accepts.
+    count = sum(map(len, text.split()))
     return count / duration_s
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -54,6 +55,15 @@ class LanguageProfile:
         """True if the code point falls in one of the allowed ranges."""
         cp = ord(ch)
         return any(lo <= cp <= hi for lo, hi in self.ranges)
+
+    @cached_property
+    def _char_classes(self) -> dict[str, int]:
+        """Character class memo for validate_charset, filled as characters are seen.
+
+        It lives in the instance ``__dict__``, so a copy made by ``replace``
+        (``with_ratio_bounds``) or another profile starts with its own.
+        """
+        return {}
 
     def with_ratio_bounds(self, min_ratio: float, max_ratio: float) -> "LanguageProfile":
         return replace(self, min_ratio=min_ratio, max_ratio=max_ratio)

@@ -1,9 +1,13 @@
 import json
 import os
 import stat
+import tempfile
 import threading
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voxkit import (
     DuplicateKeyError,
@@ -252,3 +256,163 @@ def test_with_words_attaches_alignment():
     record = with_words(make_record(), words, 0.9)
     assert record.words == words
     assert record.avg_confidence == 0.9
+
+
+# --------------------------------------------------- error parity, validate-once
+
+_GOOD_LINE = {"key": "ok", "language": "en", "audio_ref": "a.wav",
+              "duration_s": 2.0, "raw_text": "hi there"}
+_WORD0 = {"word": "hi", "start_s": 0.1, "end_s": 0.5, "score": 0.9}
+
+
+def _aligned_line(**changes):
+    obj = dict(_GOOD_LINE, key="bad", normalized_text="hi there",
+               romanized_tokens=["hi", "there"], avg_confidence=0.8,
+               words=[_WORD0, {"word": "there", "start_s": 0.6, "end_s": 1.0,
+                               "score": 0.7}])
+    obj.update(changes)
+    return obj
+
+
+def _second_word(**changes):
+    return [_WORD0, dict({"word": "there", "start_s": 0.6, "end_s": 1.0,
+                          "score": 0.7}, **changes)]
+
+
+@pytest.mark.parametrize("obj, message", [
+    (_aligned_line(words=[_WORD0, "there"]),
+     "line 3, field 'words[1]': expected object, got str"),
+    (_aligned_line(words=[_WORD0, {"word": "there", "start_s": 0.6, "end_s": 1.0}]),
+     "line 3, field 'words[1].score': missing required field"),
+    (_aligned_line(words=_second_word(start_s=True)),
+     "line 3, field 'words[1].start_s': expected number, got bool"),
+    (_aligned_line(words=_second_word(end_s="1")),
+     "line 3, field 'words[1].end_s': expected number, got str"),
+    (_aligned_line(words=_second_word(word=3)),
+     "line 3, field 'words[1].word': expected string, got int"),
+    (_aligned_line(words=_second_word(score=None)),
+     "line 3, field 'words[1].score': expected number, got NoneType"),
+    (_aligned_line(words={"word": "hi"}),
+     "line 3, field 'words': expected list, got dict"),
+    (_aligned_line(duration_s=0.9),
+     "line 3, key 'bad', field 'words[1]': span ends at 1.0 beyond duration 0.9"),
+])
+def test_malformed_line_error_text(tmp_path, obj, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(_GOOD_LINE) + "\n\n" + json.dumps(obj) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        list(read_manifest(path))
+    assert str(err.value) == message
+    assert err.value.line_no == 3
+
+
+def test_read_then_write_validates_each_record_once(tmp_path, monkeypatch):
+    path = tmp_path / "in.jsonl"
+    write_manifest([aligned_record("a"), aligned_record("b"), make_record("c")], path)
+    calls = []
+    real = manifest_module.validate_record
+
+    def counting(record, line_no=None):
+        calls.append(record.key)
+        real(record, line_no=line_no)
+
+    monkeypatch.setattr(manifest_module, "validate_record", counting)
+    records = list(read_manifest(path))
+    write_manifest(records, tmp_path / "out.jsonl")
+    write_manifest(records, tmp_path / "again.jsonl")
+    assert calls == ["a", "b", "c"]
+    # A copy is a new record and is checked when written.
+    write_manifest([replace(records[0], source="x")], tmp_path / "copy.jsonl")
+    assert calls == ["a", "b", "c", "a"]
+
+
+def test_write_rejects_backwards_span_built_in_code(tmp_path):
+    path = tmp_path / "out.jsonl"
+    record = make_record(words=(WordSpan(word="a", start_s=1.0, end_s=0.5, score=0.9),))
+    with pytest.raises(SchemaError, match=r"span \[1.0, 0.5\) is empty or negative"):
+        write_manifest([record], path)
+    assert not path.exists()
+
+
+def test_copy_of_validated_record_is_checked_again(tmp_path):
+    path = tmp_path / "in.jsonl"
+    write_manifest([aligned_record("a")], path)
+    (record,) = read_manifest(path)
+    bad = with_words(record, (WordSpan(word="a", start_s=0.5, end_s=9.0, score=0.9),
+                              WordSpan(word="b", start_s=9.0, end_s=9.5, score=0.9)), 0.9)
+    with pytest.raises(SchemaError, match="beyond duration"):
+        write_manifest([bad], tmp_path / "out.jsonl")
+
+
+def test_validation_mark_is_not_part_of_the_record(tmp_path):
+    path = tmp_path / "in.jsonl"
+    write_manifest([aligned_record("a")], path)
+    (record,) = read_manifest(path)
+    assert record == aligned_record("a")
+    assert repr(record) == repr(aligned_record("a"))
+
+
+# ----------------------------------------------------- read/write round trip
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=6)
+
+
+def _seconds(ms):
+    """A millisecond time as JSON would carry it: an integer when whole."""
+    return ms // 1000 if ms % 1000 == 0 else ms / 1000
+
+
+@st.composite
+def manifest_objects(draw):
+    n_words = draw(st.integers(0, 4))
+    millis = st.integers(0, 20).map(lambda s: s * 1000) | st.integers(0, 20_000)
+    cuts = sorted(draw(st.sets(millis,
+                               min_size=2 * n_words, max_size=2 * n_words)))
+    scores = [draw(st.sampled_from([0, 1]) | st.floats(0, 1)) for _ in range(n_words)]
+    words = [{"word": draw(_TEXT), "start_s": _seconds(cuts[2 * i]),
+              "end_s": _seconds(cuts[2 * i + 1]), "score": scores[i]}
+             for i in range(n_words)]
+    end_ms = cuts[-1] if cuts else 0
+    obj = {"key": draw(st.text(min_size=1, max_size=8)),
+           "language": draw(st.sampled_from(["en", "ru", "zh", "vi"])),
+           "audio_ref": draw(_TEXT),
+           "duration_s": _seconds(end_ms + draw(st.sampled_from([1000, 2000])
+                                                | st.integers(0 if words else 1, 5000))),
+           "raw_text": draw(_TEXT)}
+    if draw(st.booleans()):
+        obj["normalized_text"] = draw(_TEXT)
+        obj["source"] = draw(_TEXT)
+    if words:
+        obj["words"] = words
+        if draw(st.booleans()):
+            obj["romanized_tokens"] = [draw(_TEXT) for _ in words]
+        if draw(st.booleans()):
+            obj["avg_confidence"] = sum(scores) / len(scores)
+    elif draw(st.booleans()):
+        obj["words"] = []
+    extra = draw(st.dictionaries(
+        _TEXT.filter(lambda name: name not in manifest_module._FIELD_ORDER),
+        _JSON_VALUES, max_size=3))
+    obj.update(extra)
+    return obj
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(manifest_objects(), max_size=5, unique_by=lambda obj: obj["key"]))
+def test_read_write_read_round_trip(objs):
+    with tempfile.TemporaryDirectory() as tmp:
+        source, first, second = (Path(tmp) / name for name in ("in", "a", "b"))
+        source.write_text("".join(json.dumps(obj, ensure_ascii=False) + "\n"
+                                  for obj in objs), encoding="utf-8")
+        records = list(read_manifest(source))
+        write_manifest(records, first)
+        again = list(read_manifest(first))
+        write_manifest(again, second)
+        assert again == records
+        assert second.read_bytes() == first.read_bytes()

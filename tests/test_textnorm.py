@@ -1,7 +1,11 @@
+import unicodedata
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voxkit import (
+    CharsetVerdict,
     EmptyTextError,
     PauseTagging,
     WordSpan,
@@ -113,6 +117,72 @@ def test_charset_symbol_fraction_gate(profiles):
                             max_symbol_fraction=0.5).ok
     # whitelisted punctuation never counts against the budget
     assert validate_charset("a, b, c, d, e!", en, max_symbol_fraction=0.0).ok
+
+
+def _plain_validate_charset(text, profile, max_symbol_fraction):
+    """validate_charset as a direct loop over the text, with no memo."""
+    hard, soft, total = set(), [], 0
+    for ch in text:
+        if ch.isspace():
+            continue
+        total += 1
+        cat = unicodedata.category(ch)[0]
+        if cat in ("S", "C"):
+            hard.add(ch)
+        elif cat == "P":
+            if ch not in profile.punctuation:
+                soft.append(ch)
+        elif not any(lo <= ord(ch) <= hi for lo, hi in profile.ranges):
+            hard.add(ch)
+    if hard:
+        return CharsetVerdict(False, tuple(sorted(hard)), "disallowed_characters")
+    if total and len(soft) / total > max_symbol_fraction:
+        return CharsetVerdict(False, tuple(sorted(set(soft))), "excessive_symbols")
+    return CharsetVerdict(True)
+
+
+def _en_profile(ranges, punctuation):
+    return parse_profile(f"language = en\nrules = en\nmin_ratio = 1.0\n"
+                         f"max_ratio = 30.0\nranges = {ranges}\n"
+                         f"punctuation = {punctuation}\n")
+
+
+# Profiles for one language that differ in ranges or punctuation, plus a
+# ratio-bounds copy, shared by every example so their memos fill up together.
+_LATIN = _en_profile("0061-007A 00C0-00FF", ". , ! ?")
+_CYRILLIC = _en_profile("0061-007A 0430-044F", "- ; : ?")
+_LATIN_OTHER_PUNCT = _en_profile("0061-007A 00C0-00FF", "@ # - «")
+_LATIN_COPY = _LATIN.with_ratio_bounds(2.0, 20.0)
+
+_MIXED_CHARS = list("aZzéÿßмЖя你好\U0001F600€@#.,!?;:-«»—…  \t\n\u3000\u00a0\x00\x7f\u200b")
+_MIXED_TEXT = st.text(st.sampled_from(_MIXED_CHARS)
+                      | st.characters(blacklist_categories=("Cs",)), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_MIXED_TEXT, fraction=st.sampled_from([0.0, 0.1, 0.5]))
+def test_charset_memo_matches_plain_loop(text, fraction):
+    for profile in (_LATIN, _CYRILLIC, _LATIN_COPY, _LATIN_OTHER_PUNCT, _LATIN):
+        assert (validate_charset(text, profile, fraction)
+                == _plain_validate_charset(text, profile, fraction))
+
+
+def test_charset_memo_belongs_to_one_profile():
+    first = _en_profile("0061-007A", ".")
+    copy = first.with_ratio_bounds(2.0, 20.0)
+    other = _en_profile("0430-044F", ".")
+    assert validate_charset("ab мя", first).reason == "disallowed_characters"
+    assert validate_charset("ab мя", other).reason == "disallowed_characters"
+    assert validate_charset("мя", other).ok
+    assert set(first._char_classes) == set("ab мя")
+    assert copy._char_classes == {}
+    assert validate_charset("ab", copy).ok
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_MIXED_TEXT)
+def test_char_ratio_matches_plain_count(text):
+    assert char_ratio(text, 2.5) == sum(1 for ch in text if not ch.isspace()) / 2.5
 
 
 def test_char_ratio():
