@@ -20,6 +20,8 @@ simple whitespace-separated text format with a one-line header.
 from __future__ import annotations
 
 import itertools
+import math
+import warnings
 import zipfile
 import zlib
 from dataclasses import dataclass
@@ -28,7 +30,7 @@ from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .manifest import WordSpan
+from .manifest import WordSpan, atomic_write
 
 BLANK_TOKEN = "<blank>"
 
@@ -38,8 +40,11 @@ _ROW_NORM_TOL = 1e-3
 _TEXT_SUFFIX = ".emit"
 _NPZ_SUFFIX = ".npz"
 
-# Back-pointer cells (frames x utterances x states, padded to the longest
-# and widest member) that align_grouped lets one group hold, one byte each.
+_SENTINEL = np.array([-np.inf])
+
+# Back-pointer cells (frames x utterances x (states + 2), padded to the
+# longest and widest member) that align_grouped lets one group hold, one
+# byte each.
 GROUP_CELLS = 1 << 20
 
 K = TypeVar("K")
@@ -104,9 +109,9 @@ class EmissionMatrix:
         if self.vocab[0] != BLANK_TOKEN:
             raise EmissionFormatError(f"vocab[0] must be {BLANK_TOKEN!r}, "
                                       f"got {self.vocab[0]!r}")
-        if not (self.frame_dur_s > 0):
-            raise EmissionFormatError(f"frame_dur_s must be positive, got "
-                                      f"{self.frame_dur_s}")
+        if not (self.frame_dur_s > 0 and math.isfinite(self.frame_dur_s)):
+            raise EmissionFormatError(f"frame_dur_s must be finite and positive, "
+                                      f"got {self.frame_dur_s}")
         if not np.isfinite(lp).all():
             raise EmissionFormatError("log_probs contain non-finite values")
         norms = _logsumexp_rows(lp)
@@ -206,25 +211,27 @@ def align_grouped(jobs: Iterable[tuple[K, EmissionMatrix | None, Sequence[str]]]
                   ) -> Iterator[tuple[K, AlignmentResult | AlignmentError | None]]:
     """Align a stream of (key, emissions, tokens) jobs in bounded groups.
 
-    Consecutive jobs go to align_batch together while the group's padded
-    back-pointer array (longest frames x utterances x widest trellis) stays
-    within GROUP_CELLS; an utterance larger than that is aligned alone.
+    Consecutive jobs go to align_batch together while the group's
+    back-pointer array (longest frames x utterances x (widest trellis + 2),
+    the two pad states of each row included) stays within GROUP_CELLS; an
+    utterance larger than that is aligned alone.
     Yields (key, result) in input order, result as align_batch gives it. A
     job whose emissions are None is not aligned and yields (key, None) in
     its place.
     """
     group: list = []
-    frames = states = members = 0
+    frames = width = members = 0
     for key, emissions, tokens in jobs:
         if emissions is not None:
-            n_states = 2 * sum(len(token) for token in tokens) + 1
+            # The trellis's 2 * letters + 1 states plus the row's two pad states.
+            row = 2 * sum(len(token) for token in tokens) + 3
             frames = max(frames, emissions.n_frames)
-            states = max(states, n_states)
+            width = max(width, row)
             members += 1
-            if members > 1 and frames * states * members > GROUP_CELLS:
+            if members > 1 and frames * width * members > GROUP_CELLS:
                 yield from _flush(group, score_mode)
                 group = []
-                frames, states, members = emissions.n_frames, n_states, 1
+                frames, width, members = emissions.n_frames, row, 1
         group.append((key, emissions, tokens))
     yield from _flush(group, score_mode)
 
@@ -268,8 +275,9 @@ def _align_group(jobs: list[_Job], score_mode: str) -> list[AlignmentResult]:
     """Align jobs sorted longest first; results in the same order."""
     log_probs = [job.emissions.log_probs for job in jobs]
     # Emissions are read from one flat copy of the group's log-probs, so no
-    # frames x utterances x states array is ever built.
-    flat = np.concatenate([lp.ravel() for lp in log_probs])
+    # frames x utterances x states array is ever built. The trailing -inf
+    # is the sentinel that _viterbi's pad states read.
+    flat = np.concatenate([*(lp.ravel() for lp in log_probs), _SENTINEL])
     flat_start = np.cumsum([0] + [lp.size for lp in log_probs[:-1]])
     stride = np.array([lp.shape[1] for lp in log_probs], dtype=np.int64)
     state_paths, totals = _viterbi(jobs, flat, flat_start, stride)
@@ -332,48 +340,59 @@ def _viterbi(jobs: list[_Job], flat: np.ndarray, flat_start: np.ndarray,
              stride: np.ndarray) -> tuple[list[list[int]], list[float]]:
     """Best state path and its log-probability for each job.
 
-    Jobs are sorted longest first, so the utterances still running at any
-    frame are a prefix of the group. Trellises are padded to the widest
-    with states that start at -inf; a padding state lies past the last real
-    one and only ever feeds later padding states, so no real score sees it.
+    The group's trellises lie end to end in one state vector, in rows of
+    the widest trellis plus two states: row b's state s is at position
+    b * row + 2 + s, so every per-frame call works on contiguous slices.
+    Every state starts at -inf. The two pad states that open a row read
+    the -inf sentinel at the end of flat, so they stay -inf and no row
+    reads its neighbour's states. States past a trellis's last one read the
+    blank column; they only ever feed later padding or the next row's pad
+    states, so no real score sees them. Jobs are sorted longest first, so
+    the rows still running at any frame are a prefix of the vector.
     """
     n = len(jobs)
     frames = [job.n_frames for job in jobs]
-    width = max(len(job.ext) for job in jobs)
-    # at[b, s]: index into flat of state s's emission at the current frame.
-    # Padding states read the blank column.
-    at = np.zeros((n, width), dtype=np.int64)
-    # skip_cost[b, s]: 0 where s may be entered from s - 2, else -inf.
-    skip_cost = np.full((n, width), -np.inf)
+    row = max(len(job.ext) for job in jobs) + 2
+    # at[b, 2 + s]: index into flat of state s's emission at the current frame.
+    at = np.zeros((n, row), dtype=np.int64)
+    # skip_cost[b, 2 + s]: 0 where s may be entered from s - 2, else -inf.
+    skip_cost = np.full((n, row), -np.inf)
     for b, job in enumerate(jobs):
         ext = job.ext
-        at[b, :len(ext)] = ext
+        at[b, 2:2 + len(ext)] = ext
         can_skip = np.zeros(len(ext), dtype=bool)
         can_skip[3::2] = ext[3::2] != ext[1:-2:2]
-        skip_cost[b, :len(ext)][can_skip] = 0.0
+        skip_cost[b, 2:2 + len(ext)][can_skip] = 0.0
     at += flat_start[:, None]
-    step = np.repeat(stride, width).reshape(n, width)
-    take = flat.take
+    step = np.repeat(stride, row).reshape(n, row)
+    # Pad states read the sentinel at every frame; padding past a trellis
+    # reads the blank column, as at[b, 2 + s] = flat_start[b] left it.
+    at[:, :2] = flat.size - 1
+    step[:, :2] = 0
 
-    # Frame t's scores go to score[t % 2]. The two leading -inf columns let
-    # state s read states s - 1 and s - 2 as plain slices.
-    score = np.full((2, n, width + 2), -np.inf)
-    score[0, :, 2:4] = flat[at[:, :2]]
-    # back[t, b, s]: 0 = stay, 1 = advance from s-1, 2 = skip from s-2
-    back = np.empty((frames[0], n, width), dtype=np.int8)
+    # Frame t's scores go to score[t % 2]; state p of the vector is
+    # score[:, 2 + p]. The two leading -inf entries let state p read states
+    # p - 1 and p - 2 as plain slices.
+    score = np.full((2, 2 + n * row), -np.inf)
+    score[0, 2:].reshape(n, row)[:, 2:4] = flat[at[:, 2:4]]
+    at, step, skip_cost = at.ravel(), step.ravel(), skip_cost.ravel()
+    # back[t, p]: 0 = stay, 1 = advance from p-1, 2 = skip from p-2
+    back = np.empty((frames[0], n * row), dtype=np.int8)
     back_bool = back.view(np.bool_)
-    emit = np.empty((n, width))
-    skipped = np.empty((n, width))
-    skip_wins = np.empty((n, width), dtype=bool)
+    emit = np.empty(n * row)
+    skipped = np.empty(n * row)
+    skip_wins = np.empty(n * row, dtype=bool)
+    take = flat.take
 
     t = 1
     for k in range(n, 0, -1):
         stop = frames[k - 1]
         if t >= stop:
             continue
-        at_k, step_k, emit_k = at[:k], step[:k], emit[:k]
-        cost_k, skipped_k, wins_k = skip_cost[:k], skipped[:k], skip_wins[:k]
-        views = [(prev[:k, 2:], prev[:k, 1:-1], prev[:k, :-2], cur[:k, 2:])
+        m = k * row
+        at_k, step_k, emit_k = at[:m], step[:m], emit[:m]
+        cost_k, skipped_k, wins_k = skip_cost[:m], skipped[:m], skip_wins[:m]
+        views = [(prev[2:2 + m], prev[1:1 + m], prev[:m], cur[2:2 + m])
                  for prev, cur in ((score[1], score[0]), (score[0], score[1]))]
         for t in range(t, stop):
             stay, advance, skip, best = views[t & 1]
@@ -381,11 +400,11 @@ def _viterbi(jobs: list[_Job], flat: np.ndarray, flat_start: np.ndarray,
             take(at_k, out=emit_k, mode="clip")
             np.add(skip, cost_k, out=skipped_k)
             # Tie order: advance beats stay beats skip.
-            np.less_equal(stay, advance, out=back_bool[t, :k])
+            np.less_equal(stay, advance, out=back_bool[t, :m])
             np.maximum(advance, stay, out=best)
             np.greater(skipped_k, best, out=wins_k)
             np.maximum(best, skipped_k, out=best)
-            np.putmask(back[t, :k], wins_k, 2)
+            np.putmask(back[t, :m], wins_k, 2)
             np.add(best, emit_k, out=best)
         t = stop
 
@@ -393,7 +412,8 @@ def _viterbi(jobs: list[_Job], flat: np.ndarray, flat_start: np.ndarray,
     pointer = back.item
     for b, job in enumerate(jobs):
         last = frames[b] - 1
-        final = score[last & 1, b, 2:]
+        first = b * row + 2          # vector position of the row's state 0
+        final = score[last & 1, 2 + first:]
         # Valid endings: final label or final blank; prefer the label on a tie.
         state = len(job.ext) - 2
         if final[state] < final[state + 1]:
@@ -402,7 +422,7 @@ def _viterbi(jobs: list[_Job], flat: np.ndarray, flat_start: np.ndarray,
         states = [0] * frames[b]
         for t in range(last, 0, -1):
             states[t] = state
-            state -= pointer(t, b, state)
+            state -= pointer(t, first + state)
         states[0] = state
         state_paths.append(states)
     return state_paths, totals
@@ -430,20 +450,23 @@ def unaligned_gaps(words: Iterable[WordSpan] | AlignmentResult,
 
 
 def save_emissions(emissions: EmissionMatrix, path: str | Path) -> None:
-    """Write an emission matrix as .npz or .emit text, chosen by suffix."""
+    """Write an emission matrix as .npz or .emit text, chosen by suffix.
+
+    The file is replaced atomically: a failed write leaves the old one.
+    """
     path = Path(path)
-    if path.suffix == _NPZ_SUFFIX:
-        np.savez(path, log_probs=emissions.log_probs,
-                 frame_dur_s=np.float64(emissions.frame_dur_s),
-                 vocab=np.array(emissions.vocab, dtype=np.str_))
-    elif path.suffix == _TEXT_SUFFIX:
-        with open(path, "w", encoding="utf-8") as fh:
+    if path.suffix not in (_NPZ_SUFFIX, _TEXT_SUFFIX):
+        raise EmissionFormatError(f"unsupported emission file suffix: {path.name}")
+    with atomic_write(path) as fh:
+        if path.suffix == _NPZ_SUFFIX:
+            np.savez(fh.buffer, log_probs=emissions.log_probs,
+                     frame_dur_s=np.float64(emissions.frame_dur_s),
+                     vocab=np.array(emissions.vocab, dtype=np.str_))
+        else:
             header = " ".join([repr(emissions.frame_dur_s), *emissions.vocab])
             fh.write(header + "\n")
             for row in emissions.log_probs:
                 fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-    else:
-        raise EmissionFormatError(f"unsupported emission file suffix: {path.name}")
 
 
 def load_emissions(path: str | Path) -> EmissionMatrix:
@@ -478,17 +501,30 @@ def _load_npz(path: Path) -> EmissionMatrix:
 
 
 def _load_emit(path: Path) -> EmissionMatrix:
+    """Read a .emit file; the body is parsed in C when it is well formed.
+
+    np.loadtxt accepts a subset of what float() does (no "1_0", no
+    non-ASCII digits), so any body it refuses or reads to another shape
+    goes to _load_emit_checked, which decides acceptance and words the error.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) < 3:
-            raise EmissionFormatError(f"{path.name}: header needs frame "
-                                      f"duration plus at least two vocab entries")
+        frame_dur, vocab = _read_emit_header(fh, path.name)
         try:
-            frame_dur = float(header[0])
-        except ValueError as exc:
-            raise EmissionFormatError(f"{path.name}: bad frame duration "
-                                      f"{header[0]!r}") from exc
-        vocab = tuple(header[1:])
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                log_probs = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            log_probs = None
+    if log_probs is None or log_probs.shape[0] < 1 or log_probs.shape[1] != len(vocab):
+        return _load_emit_checked(path)
+    return EmissionMatrix(log_probs=log_probs, frame_dur_s=frame_dur, vocab=vocab)
+
+
+def _load_emit_checked(path: Path) -> EmissionMatrix:
+    """Read a .emit file value by value, with the line number of any error."""
+    with open(path, "r", encoding="utf-8") as fh:
+        frame_dur, vocab = _read_emit_header(fh, path.name)
         rows = []
         for line_no, line in enumerate(fh, 2):
             if not line.strip():
@@ -506,6 +542,20 @@ def _load_emit(path: Path) -> EmissionMatrix:
             raise EmissionFormatError(f"{path.name}: no frames")
         return EmissionMatrix(log_probs=np.array(rows), frame_dur_s=frame_dur,
                               vocab=vocab)
+
+
+def _read_emit_header(fh, name: str) -> tuple[float, tuple[str, ...]]:
+    """The frame duration and vocabulary from a .emit file's first line."""
+    header = fh.readline().split()
+    if len(header) < 3:
+        raise EmissionFormatError(f"{name}: header needs frame "
+                                  f"duration plus at least two vocab entries")
+    try:
+        frame_dur = float(header[0])
+    except ValueError as exc:
+        raise EmissionFormatError(f"{name}: bad frame duration "
+                                  f"{header[0]!r}") from exc
+    return frame_dur, tuple(header[1:])
 
 
 def find_emissions(directory: str | Path, key: str) -> Path | None:

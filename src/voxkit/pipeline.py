@@ -16,12 +16,13 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
-from .aligner import (AlignmentError, EmissionFormatError, align_grouped,
-                      find_emissions, load_emissions)
+from .aligner import (AlignmentError, AlignmentResult, EmissionFormatError,
+                      align_grouped, find_emissions, load_emissions)
 from .curate import compute_stats, stats_to_json_dict
-from .manifest import (ManifestError, SourceAdapterSpec, UtteranceRecord,
-                       _write_records, adapt, atomic_write, read_manifest,
-                       with_words, write_manifest)
+from .manifest import (ManifestError, SchemaError, SourceAdapterSpec,
+                       UtteranceRecord, _write_records, adapt, atomic_write,
+                       read_manifest, validate_record, with_words,
+                       write_manifest)
 from .quality import FilterConfig, run_chain
 from .textnorm import (EmptyTextError, LanguageProfile, ProfileError,
                        UnmappableCharacterError, load_profiles, normalize,
@@ -427,8 +428,7 @@ def _stage_align(records: list[UtteranceRecord],
             elif isinstance(result, AlignmentError):
                 outcomes.append(_StageOutcome(None, ("unalignable",), result))
             else:
-                outcomes.append(_StageOutcome(
-                    with_words(record, result.words, result.score)))
+                outcomes.append(_aligned(record, result))
     except PipelineError:
         raise
     except Exception as exc:
@@ -437,6 +437,20 @@ def _stage_align(records: list[UtteranceRecord],
         raise PipelineStageError("align", records[len(outcomes)].key,
                                  f"aligning its group: {exc}") from exc
     return outcomes
+
+
+def _aligned(record: UtteranceRecord, result: AlignmentResult) -> _StageOutcome:
+    """The record with its alignment, or a bad_emissions rejection when the
+    emissions do not fit it (say, they run past its duration)."""
+    aligned = with_words(record, result.words, result.score)
+    try:
+        validate_record(aligned)
+    except SchemaError as exc:
+        error = EmissionFormatError(f"emissions for key {record.key!r} do not "
+                                    f"fit the record: {exc}")
+        error.__cause__ = exc
+        return _StageOutcome(None, ("bad_emissions",), error)
+    return _StageOutcome(aligned)
 
 
 def _stage_filter(record: UtteranceRecord,

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from voxkit import (
     save_emissions,
     unaligned_gaps,
 )
+from voxkit import aligner as aligner_module
 
 LETTERS = "abc"
 
@@ -215,6 +217,49 @@ def test_emit_text_round_trip(tmp_path):
     back = load_emissions(path)
     assert np.array_equal(back.log_probs, emissions.log_probs)
     assert back.vocab == emissions.vocab
+
+
+class _RowsThatFail:
+    """Log-prob rows whose iteration fails after the first row."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __iter__(self):
+        yield self.rows[0]
+        raise OSError("disk full")
+
+
+@pytest.mark.parametrize("suffix", [".npz", ".emit"])
+def test_failed_save_keeps_the_old_file(tmp_path, monkeypatch, suffix):
+    path = tmp_path / f"utt1{suffix}"
+    emissions = peaked_emissions([1, 2, 0], vocab_size=3)
+    save_emissions(emissions, path)
+    before = path.read_bytes()
+    if suffix == ".npz":
+        def broken(file, **arrays):
+            file.write(b"PK\x03\x04 partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(aligner_module.np, "savez", broken)
+    else:
+        emissions = SimpleNamespace(frame_dur_s=0.04, vocab=emissions.vocab,
+                                    log_probs=_RowsThatFail(emissions.log_probs))
+    with pytest.raises(OSError):
+        save_emissions(emissions, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_well_formed_emit_body_skips_the_checked_parser(tmp_path, monkeypatch):
+    path = tmp_path / "utt1.emit"
+    save_emissions(peaked_emissions([1, 2, 0], vocab_size=3), path)
+
+    def not_expected(path):
+        raise AssertionError("the checked parser ran on a well-formed body")
+
+    monkeypatch.setattr(aligner_module, "_load_emit_checked", not_expected)
+    assert load_emissions(path).n_frames == 3
 
 
 def test_find_emissions_prefers_npz(tmp_path):

@@ -263,6 +263,32 @@ def test_align_corrupt_emissions(tmp_path, capsys):
     assert [row["key"] for row in read_lines(out)] == ["a"]
 
 
+def test_align_emissions_that_do_not_fit_the_record(tmp_path, capsys):
+    tokens = ("hi", "there")
+    records = [rec(k, confidence=None, duration_s=duration, text="hi there",
+                   romanized_tokens=tokens)
+               for k, duration in (("a", 4.0), ("k2", 0.1), ("b", 4.0), ("k3", 4.0))]
+    src = manifest_of(tmp_path, records)
+    emit = tmp_path / "emit"
+    emit.mkdir()
+    for key in ("a", "b"):
+        save_emissions(peaked_emissions(tokens, 4.0), emit / f"{key}.npz")
+    # k2's words run to about 0.4 s, past its 0.1 s; k3's frame duration is inf.
+    save_emissions(peaked_emissions(tokens, 0.44), emit / "k2.emit")
+    save_emissions(peaked_emissions(tokens, 4.0), emit / "k3.emit")
+    text = (emit / "k3.emit").read_text(encoding="utf-8")
+    (emit / "k3.emit").write_text("inf" + text[text.index(" "):], encoding="utf-8")
+    out = tmp_path / "aligned.jsonl"
+    args = ["align", "-i", str(src), "-o", str(out), "--emissions", str(emit)]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert "'k2'" in err and "beyond duration 0.1" in err
+    assert not out.exists()
+    assert main(args + ["--skip-failed"]) == 0
+    assert "skipped 2" in capsys.readouterr().err
+    assert [row["key"] for row in read_lines(out)] == ["a", "b"]
+
+
 def test_align_long_utterance(tmp_path):
     tokens = ("ab" * 35, "ba" * 40)
     record = rec("long", confidence=None, duration_s=8.0,

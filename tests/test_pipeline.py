@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import numpy as np
@@ -9,11 +10,13 @@ import voxkit.pipeline as pipeline_module
 from voxkit import (
     BLANK_TOKEN,
     ConfigError,
+    EmissionFormatError,
     EmissionMatrix,
     FilterConfig,
     PipelineConfig,
     PipelineError,
     PipelineStageError,
+    SchemaError,
     UtteranceRecord,
     WordSpan,
     load_pipeline_config,
@@ -22,6 +25,7 @@ from voxkit import (
     parallel_map,
     romanize,
     run_pipeline,
+    read_manifest,
     save_emissions,
     shard,
     write_manifest,
@@ -403,6 +407,45 @@ def test_run_pipeline_rejects_corrupt_emissions(tmp_path, payload):
                 .read_text(encoding="utf-8").splitlines()]
     assert rejected == [{"key": "r1", "stage": "align",
                          "reasons": ["bad_emissions"]}]
+
+
+def test_run_pipeline_rejects_emissions_that_do_not_fit_the_record(tmp_path):
+    records = [rec("ok1", 6.0, text="some gentle words in a quiet room"),
+               rec("k2", 0.1, text="hi"),
+               rec("ok2", 7.0, text="another entirely ordinary line of words"),
+               rec("k3", 6.0, text="hi")]
+    config = full_config(tmp_path, records)
+    third = math.log(1 / 3)
+    uniform = np.full((20, 3), third)
+    for key in ("k2", "k3"):
+        (config.emissions_dir / f"{key}.npz").unlink()
+    # 20 frames of 0.02 s: the word ends at 0.4 s, past k2's 0.1 s.
+    save_emissions(EmissionMatrix(uniform, 0.02, (BLANK_TOKEN, "h", "i")),
+                   config.emissions_dir / "k2.emit")
+    # A frame duration of inf puts every span at [inf, inf).
+    (config.emissions_dir / "k3.emit").write_text(
+        f"inf {BLANK_TOKEN} h i\n" + f"{third!r} " * 3 + "\n",
+        encoding="utf-8")
+
+    summary = run_pipeline(config)
+    assert summary["output_records"] == 2
+    assert summary["stage_counts"]["align"] == {"in": 4, "out": 2}
+    assert summary["rejections"] == {"bad_emissions": 2}
+    rejected = [json.loads(line) for line in (tmp_path / "out" / "rejections.jsonl")
+                .read_text(encoding="utf-8").splitlines()]
+    assert rejected == [{"key": key, "stage": "align", "reasons": ["bad_emissions"]}
+                        for key in ("k2", "k3")]
+
+    romanized = list(read_manifest(tmp_path / "out" / "romanize.jsonl"))
+    survivors, rejections = pipeline_module.run_stage("align", romanized, config)
+    assert [r.key for r in survivors] == ["ok1", "ok2"]
+    assert all(r._validated for r in survivors)
+    overrun, infinite = (r.error for r in rejections)
+    assert isinstance(overrun, EmissionFormatError)
+    assert "'k2'" in str(overrun) and "beyond duration 0.1" in str(overrun)
+    assert isinstance(overrun.__cause__, SchemaError)
+    assert isinstance(infinite, EmissionFormatError)
+    assert "frame_dur_s must be finite" in str(infinite)
 
 
 def test_run_pipeline_aligns_long_utterances(tmp_path):
