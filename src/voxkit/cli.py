@@ -19,11 +19,11 @@ from .audio import AudioFormatError, read_wav, write_wav
 from .curate import (CurationError, EvalCriteria, compute_stats, eligible,
                      render_stats_table, select_eval, stats_to_json_dict,
                      trim_trailing_silence)
-from .manifest import (ManifestError, SourceAdapterSpec, atomic_write,
-                       read_manifest, write_manifest)
+from .manifest import (ManifestError, SourceAdapterSpec, read_manifest,
+                       write_json, write_json_lines, write_manifest)
 from .pipeline import (ConfigError, PipelineConfig, PipelineError,
-                       PipelineStageError, add_threshold, ingest, run_stage,
-                       shard, write_rejections, write_shards)
+                       PipelineStageError, add_threshold, run_stage, shard,
+                       write_rejections, write_shards)
 from .quality import FilterConfig, QualityError, fit_ratio_bounds
 from .textnorm import (EmptyTextError, ProfileError, SUPPORTED_LANGUAGES,
                        UnmappableCharacterError, load_profiles)
@@ -69,7 +69,7 @@ def _cmd_ingest(args) -> int:
         adapter = SourceAdapterSpec(source=args.source,
                                     field_map=_parse_kv(args.map, "--map"),
                                     defaults=_parse_kv(args.default, "--default"))
-    count = write_manifest(ingest(args.input, adapter), args.output)
+    count = write_manifest(read_manifest(args.input, adapter), args.output)
     _progress(f"ingest: wrote {count} records to {args.output}")
     return EXIT_OK
 
@@ -81,7 +81,7 @@ def _run_stages(args, stages: tuple[str, ...], *, skip_failed: bool = False,
     A record a stage rejects raises the error that explains it, unless
     skip_failed is set. Filter verdicts carry no error and are never raised.
     """
-    config = PipelineConfig(input_path=Path(args.input),
+    config = PipelineConfig(input_path=args.input,
                             output_dir=Path(args.output).parent,
                             stages=stages, **settings)
     records = list(read_manifest(config.input_path))
@@ -109,7 +109,7 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_align(args) -> int:
     return _run_stages(args, ("align",), skip_failed=args.skip_failed,
-                       emissions_dir=Path(args.emissions),
+                       emissions_dir=args.emissions,
                        score_mode=args.score_mode)
 
 
@@ -169,13 +169,10 @@ def _cmd_curate_eval(args) -> int:
     selected = [record for chosen in selections.values() for record in chosen]
     count = write_manifest(selected, args.output)
     if args.trims:
-        with atomic_write(args.trims) as handle:
-            for trim in trims:
-                handle.write(json.dumps({
-                    "key": trim.key,
-                    "old_duration_s": trim.old_duration_s,
-                    "new_duration_s": trim.new_duration_s,
-                }, sort_keys=True) + "\n")
+        write_json_lines(args.trims, ({"key": t.key,
+                                       "old_duration_s": t.old_duration_s,
+                                       "new_duration_s": t.new_duration_s}
+                                      for t in trims))
     per_lang = ", ".join(f"{lang}: {len(chosen)}"
                          for lang, chosen in selections.items())
     _progress(f"curate-eval: selected {count} ({per_lang or 'none eligible'})")
@@ -192,17 +189,17 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_shard(args) -> int:
+    if args.shards < 1:
+        raise UsageError(f"--shards must be >= 1, got {args.shards}")
     records = list(read_manifest(args.input))
     assignment = shard(records, args.shards)
     out_dir = Path(args.output_dir)
     write_shards(records, assignment, out_dir, args.prefix)
-    payload = {
+    write_json(out_dir / "assignment.json", {
         "n_shards": assignment.n_shards,
         "durations_s": [round(d, 3) for d in assignment.durations],
-        "assignment": dict(sorted(assignment.shard_of.items())),
-    }
-    with atomic_write(out_dir / "assignment.json") as handle:
-        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        "assignment": assignment.shard_of,
+    })
     spread = (max(assignment.durations) - min(assignment.durations)
               if records else 0.0)
     _progress(f"shard: {len(records)} records into {args.shards} shards, "
@@ -283,9 +280,7 @@ def _cmd_stitch(args) -> int:
     out, plan = editctl.stitch(segments, rate, args.fade_s, args.overlap_s)
     write_wav(args.output, out, rate)
     if args.plan:
-        with atomic_write(args.plan) as handle:
-            handle.write(json.dumps(plan.to_json_dict(), indent=2,
-                                    sort_keys=True) + "\n")
+        write_json(args.plan, plan.to_json_dict())
     _progress(f"stitch: wrote {len(out)} samples at {rate} Hz to {args.output}")
     return EXIT_OK
 

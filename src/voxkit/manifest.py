@@ -6,6 +6,12 @@ millisecond (3-decimal) precision, keys are unique within a file, and writing
 the same records twice produces byte-identical output. Unknown fields found
 in input lines are carried through untouched so foreign annotations survive a
 round-trip.
+
+This module is the only one that reads or writes JSON files: read_manifest
+reads manifests and adapted source rows, write_manifest writes records, and
+write_json and write_json_lines write every other JSON output. All of them
+write UTF-8 with sorted keys (records in canonical field order) and replace
+the target atomically.
 """
 
 from __future__ import annotations
@@ -305,10 +311,14 @@ def record_to_line(record: UtteranceRecord) -> str:
     return _LINE_ENCODER.encode(record.to_json_dict())
 
 
-def read_manifest(path: str | Path) -> Iterator[UtteranceRecord]:
-    """Yield records from a JSONL manifest in file order.
+def read_manifest(path: str | Path,
+                  adapter: SourceAdapterSpec | None = None) -> Iterator[UtteranceRecord]:
+    """Yield records from a JSONL file in file order, skipping blank lines.
 
-    Raises SchemaError with the 1-based line number for malformed lines and
+    Without an adapter each line is a manifest record; with one, each line is
+    a source row that ``adapt`` maps onto a record. Raises SchemaError with
+    the 1-based line number for a line that is not JSON or not a valid
+    record, AdapterError for a row the adapter cannot map, and
     DuplicateKeyError when a key repeats within the file.
     """
     seen: set[str] = set()
@@ -320,10 +330,12 @@ def read_manifest(path: str | Path) -> Iterator[UtteranceRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"invalid JSON: {exc.msg}", line_no=line_no) from exc
-            record = record_from_json_dict(obj, line_no=line_no)
+            if adapter is None:
+                record = record_from_json_dict(obj, line_no=line_no)
+            else:
+                record = adapt(obj, adapter, line_no=line_no)
             if record.key in seen:
-                raise DuplicateKeyError("key appears more than once",
-                                        line_no=line_no, key=record.key)
+                raise DuplicateKeyError("duplicate key", line_no=line_no, key=record.key)
             seen.add(record.key)
             yield record
 
@@ -380,7 +392,7 @@ def _write_records(records: list[UtteranceRecord], path: Path, make_parent: bool
         if not record._validated:
             validate_record(record)
         if record.key in seen:
-            raise DuplicateKeyError("key appears more than once", key=record.key)
+            raise DuplicateKeyError("duplicate key", key=record.key)
         seen.add(record.key)
     if make_parent:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -389,6 +401,21 @@ def _write_records(records: list[UtteranceRecord], path: Path, make_parent: bool
             fh.write(record_to_line(record))
             fh.write("\n")
     return len(records)
+
+
+def write_json(path: str | Path, payload: Any) -> None:
+    """Write payload as one indented, key-sorted UTF-8 JSON document, atomically."""
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
+        fh.write("\n")
+
+
+def write_json_lines(path: str | Path, rows: Iterable[Any]) -> None:
+    """Write one key-sorted UTF-8 JSON line per row, atomically."""
+    with atomic_write(path) as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False))
+            fh.write("\n")
 
 
 @dataclass(frozen=True)

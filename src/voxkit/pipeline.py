@@ -9,7 +9,6 @@ JSON keys sorted, so reruns are byte-identical.
 from __future__ import annotations
 
 import heapq
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -20,9 +19,9 @@ from .aligner import (AlignmentError, AlignmentResult, EmissionFormatError,
                       align_grouped, find_emissions, load_emissions)
 from .curate import compute_stats, stats_to_json_dict
 from .manifest import (ManifestError, SchemaError, SourceAdapterSpec,
-                       UtteranceRecord, _write_records, adapt, atomic_write,
-                       read_manifest, validate_record, with_words,
-                       write_manifest)
+                       UtteranceRecord, _write_records, read_manifest,
+                       validate_record, with_words, write_json,
+                       write_json_lines, write_manifest)
 from .quality import FilterConfig, run_chain
 from .textnorm import (EmptyTextError, LanguageProfile, ProfileError,
                        UnmappableCharacterError, load_profiles, normalize,
@@ -129,7 +128,10 @@ def parallel_map(fn: Callable[[T], U], items: Iterable[T],
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything run_pipeline needs, resolved and validated."""
+    """Everything run_pipeline needs, resolved and validated.
+
+    The three paths may be given as strings; they are stored as Path.
+    """
 
     input_path: Path
     output_dir: Path
@@ -144,6 +146,13 @@ class PipelineConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("input_path", "output_dir", "emissions_dir"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, Path(value))
+        if self.score_mode not in ("geometric", "arithmetic"):
+            raise ConfigError(f"score_mode must be geometric or arithmetic, "
+                              f"got {self.score_mode!r}")
         for stage in self.stages:
             if stage not in STAGES:
                 raise ConfigError(f"unknown stage {stage!r}; valid: "
@@ -332,9 +341,6 @@ def load_pipeline_config(path: str | Path,
     split_zh = _parse_bool(entry[0], "split_zh_chars", entry[1]) if entry else False
     entry = take("score_mode")
     score_mode = entry[0] if entry else "geometric"
-    if score_mode not in ("geometric", "arithmetic"):
-        raise ConfigError(f"score_mode must be geometric or arithmetic, "
-                          f"got {score_mode!r}")
 
     return PipelineConfig(
         input_path=input_path,
@@ -503,51 +509,11 @@ def run_stage(stage: str, records: list[UtteranceRecord], config: PipelineConfig
 
 def write_rejections(rejections: Iterable[Rejection], path: str | Path) -> None:
     """Write one JSON line per rejection (key, stage, reasons), sorted by key."""
-    with atomic_write(path) as handle:
-        for rejection in sorted(rejections, key=lambda r: r.key):
-            handle.write(json.dumps({"key": rejection.key,
-                                     "stage": rejection.stage,
-                                     "reasons": list(rejection.reasons)},
-                                    sort_keys=True, ensure_ascii=False) + "\n")
+    write_json_lines(path, ({"key": r.key, "stage": r.stage, "reasons": list(r.reasons)}
+                            for r in sorted(rejections, key=lambda r: r.key)))
 
 
 # ------------------------------------------------------------ orchestration
-
-def ingest(path: str | Path,
-           adapter: SourceAdapterSpec | None) -> list[UtteranceRecord]:
-    """Read a manifest, or with an adapter, map each JSON row to a record.
-
-    Errors carry the line number of the offending row; a key that repeats
-    is an error.
-    """
-    if adapter is None:
-        return list(read_manifest(path))
-    records = []
-    seen: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ManifestError(f"invalid JSON: {exc.msg}",
-                                    line_no=line_no) from exc
-            record = adapt(row, adapter, line_no=line_no)
-            if record.key in seen:
-                raise ManifestError("duplicate key", line_no=line_no,
-                                    key=record.key)
-            seen.add(record.key)
-            records.append(record)
-    return records
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with atomic_write(path) as handle:
-        handle.write(json.dumps(payload, indent=2, sort_keys=True,
-                                ensure_ascii=False) + "\n")
-
 
 def run_pipeline(config: PipelineConfig,
                  progress: Callable[[str], None] | None = None) -> dict:
@@ -563,7 +529,7 @@ def run_pipeline(config: PipelineConfig,
             progress(message)
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    records = ingest(config.input_path, config.adapter)
+    records = list(read_manifest(config.input_path, config.adapter))
     n_input = len(records)
     note(f"ingest: {n_input} records")
 
@@ -585,7 +551,7 @@ def run_pipeline(config: PipelineConfig,
     write_rejections(rejections, config.output_dir / "rejections.jsonl")
 
     stats = compute_stats(records)
-    _write_json(config.output_dir / "stats.json", stats_to_json_dict(stats))
+    write_json(config.output_dir / "stats.json", stats_to_json_dict(stats))
 
     if config.shard_count > 1:
         assignment = shard(records, config.shard_count)
@@ -600,6 +566,6 @@ def run_pipeline(config: PipelineConfig,
         "stage_counts": stage_counts,
         "rejections": dict(sorted(histogram.items())),
     }
-    _write_json(config.output_dir / "summary.json", summary)
+    write_json(config.output_dir / "summary.json", summary)
     note(f"done: {summary['output_records']} records pass")
     return summary

@@ -7,15 +7,12 @@ import unicodedata
 from dataclasses import dataclass
 from typing import Sequence
 
-from .numbers import digits_to_words, number_to_words
+from .numbers import NO_SPACE_LANGUAGES, digits_to_words, number_to_words
 from .profiles import LanguageProfile
 
 _DIGIT_RUN = re.compile(r"[0-9]+")
 # A run of the same punctuation mark collapses to one.
 _REPEAT_PUNCT = re.compile(r"([^\w\s])\1+")
-
-# Languages whose number words join without surrounding spaces.
-_NO_PAD_RULES = {"zh"}
 
 DEFAULT_MAX_SYMBOL_FRACTION = 0.1
 
@@ -78,7 +75,7 @@ def normalize(text: str, profile: LanguageProfile) -> str:
     out = unicodedata.normalize("NFKC", text)
     out = out.lower()
 
-    pad = profile.rules not in _NO_PAD_RULES
+    pad = profile.rules not in NO_SPACE_LANGUAGES
 
     def repl(match: re.Match) -> str:
         words = _expand_number_run(match.group(), profile.rules)

@@ -490,12 +490,9 @@ _RENDERERS = {
     "ru": _ru, "zh": _zh, "id": _id, "vi": _vi,
 }
 
-# Languages that write numbers without separating spaces.
-_NO_SPACE = {"zh"}
-
-
-def supported_languages() -> tuple[str, ...]:
-    return tuple(sorted(_RENDERERS))
+# Languages whose number words join without spaces, to each other and to
+# the text around them.
+NO_SPACE_LANGUAGES = frozenset({"zh"})
 
 
 def number_to_words(n: int, language: str) -> str:
@@ -509,7 +506,7 @@ def number_to_words(n: int, language: str) -> str:
         raise NumberExpansionError(f"cannot spell negative number {n}")
     render = _RENDERERS[language]
     if n > MAX_COMPOSED:
-        sep = "" if language in _NO_SPACE else " "
+        sep = "" if language in NO_SPACE_LANGUAGES else " "
         return sep.join(render(int(d)) for d in str(n))
     return render(n)
 
@@ -521,5 +518,5 @@ def digits_to_words(digits: str, language: str) -> str:
     render = _RENDERERS.get(language)
     if render is None:
         raise NumberExpansionError(f"no number rules for language {language!r}")
-    sep = "" if language in _NO_SPACE else " "
+    sep = "" if language in NO_SPACE_LANGUAGES else " "
     return sep.join(render(int(d)) for d in digits)

@@ -116,15 +116,23 @@ def test_ingest_with_adapter(tmp_path):
 
 def test_ingest_errors_carry_line_numbers(tmp_path, capsys):
     src = tmp_path / "rows.jsonl"
-    argv = ["ingest", "-i", str(src), "-o", str(tmp_path / "out.jsonl"),
-            "--source", "web", "--map", "key=id", "--map", "raw_text=text",
-            "--default", "language=en", "--default", "audio_ref=a.wav",
-            "--default", "duration_s=1.0"]
-    good = json.dumps({"id": "r1", "text": "hello"})
-    for second, fragment in [("[1, 2]", "line 2: expected a JSON object"),
-                             (json.dumps({"text": "no id"}),
-                              "line 2, field 'key'"),
-                             (good, "line 2, key 'r1': duplicate key")]:
+    out = ["-o", str(tmp_path / "out.jsonl")]
+    adapted = ["ingest", "-i", str(src), *out, "--source", "web",
+               "--map", "key=id", "--map", "raw_text=text",
+               "--default", "language=en", "--default", "audio_ref=a.wav",
+               "--default", "duration_s=1.0"]
+    canonical = ["ingest", "-i", str(src), *out]
+    good_row = json.dumps({"id": "r1", "text": "hello"})
+    good_record = json.dumps(rec("r1").to_json_dict())
+    cases = [(adapted, good_row, "[1, 2]", "line 2: expected a JSON object"),
+             (adapted, good_row, json.dumps({"text": "no id"}),
+              "line 2, field 'key'"),
+             (canonical, good_record, json.dumps({"key": "r2"}),
+              "line 2, field 'language'")]
+    for argv, good in ((adapted, good_row), (canonical, good_record)):
+        cases += [(argv, good, good, "line 2, key 'r1': duplicate key"),
+                  (argv, good, "{not json", "line 2: invalid JSON")]
+    for argv, good, second, fragment in cases:
         src.write_text(f"{good}\n{second}\n", encoding="utf-8")
         assert main(argv) == 2
         assert fragment in capsys.readouterr().err
@@ -491,10 +499,46 @@ def test_shard_writes_files_and_assignment(tmp_path):
     assert shard1 == ["k1", "k2"]
 
 
-def test_shard_bad_count(tmp_path):
+def test_shard_bad_count(tmp_path, capsys):
     src = manifest_of(tmp_path, [rec("a")])
-    assert main(["shard", "-i", str(src), "-o", str(tmp_path / "s"),
-                 "-n", "0"]) == 3
+    for count in ("0", "-2"):
+        assert main(["shard", "-i", str(src), "-o", str(tmp_path / "s"),
+                     "-n", count]) == 1
+        assert f"--shards must be >= 1, got {count}" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+# ------------------------------------------------------------ JSON files
+
+def test_json_files_keep_non_ascii_keys_as_utf8(tmp_path):
+    eight = "one two three four five six seven eight"
+    records = [rec("é1"), rec("é2", confidence=0.1),
+               # trailing silence: words end at 4.0 but duration says 6.0
+               rec("é3", duration_s=6.0, text=eight,
+                   words=words_for(eight, 4.0))]
+    src = manifest_of(tmp_path, records)
+    profiles = load_profiles()
+    run_pipeline(PipelineConfig(
+        input_path=src, output_dir=tmp_path / "run", stages=("filter",),
+        profiles=profiles, filter_config=FilterConfig(profiles=profiles),
+        shard_count=2))
+    assert main(["filter", "-i", str(src), "-o", str(tmp_path / "kept.jsonl"),
+                 "--rejects", str(tmp_path / "rejects.jsonl")]) == 0
+    assert main(["curate-eval", "-i", str(src),
+                 "-o", str(tmp_path / "eval.jsonl"),
+                 "--trims", str(tmp_path / "trims.jsonl")]) == 0
+    assert main(["shard", "-i", str(src), "-o", str(tmp_path / "shards"),
+                 "-n", "2"]) == 0
+    carries = {"run/rejections.jsonl": "é2", "rejects.jsonl": "é2",
+               "trims.jsonl": "é3", "shards/assignment.json": "é1",
+               "run/filter.jsonl": "é1", "shards/shard_000.jsonl": "é"}
+    written = sorted(tmp_path.rglob("*.json*"))
+    assert {"run/stats.json", "run/summary.json"} | set(carries) <= {
+        path.relative_to(tmp_path).as_posix() for path in written}
+    for path in written:
+        assert "\\u" not in path.read_text(encoding="utf-8"), path
+    for name, key in carries.items():
+        assert key in (tmp_path / name).read_text(encoding="utf-8"), name
 
 
 # ------------------------------------------------------------------ sched

@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,6 +243,35 @@ def test_config_requires_existing_input(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_pipeline_config(config_path)
     assert "input" in str(err.value)
+
+
+def test_config_takes_string_paths(tmp_path):
+    manifest = tmp_path / "in.jsonl"
+    write_manifest([aligned_rec("a")], manifest)
+    config = PipelineConfig(input_path=str(manifest),
+                            output_dir=str(tmp_path / "out"),
+                            stages=("filter",),
+                            filter_config=FilterConfig(profiles=PROFILES),
+                            profiles=PROFILES, emissions_dir=str(tmp_path))
+    assert config.input_path == manifest
+    assert config.output_dir == tmp_path / "out"
+    assert config.emissions_dir == tmp_path
+    assert run_pipeline(config)["output_records"] == 1
+
+
+def test_config_rejects_unknown_score_mode(tmp_path):
+    # The bad setting is named before any record can be blamed for it, with
+    # or without records to align.
+    for records in ([rec("a", 4.0)], []):
+        with pytest.raises(ConfigError, match="score_mode must be geometric "
+                                              "or arithmetic, got 'bogus'"):
+            full_config(tmp_path, records, score_mode="bogus")
+
+
+def test_run_pipeline_aligns_empty_input(tmp_path):
+    summary = run_pipeline(full_config(tmp_path, []))
+    assert summary["stage_counts"]["align"] == {"in": 0, "out": 0}
+    assert summary["output_records"] == 0
 
 
 # ------------------------------------------------------------ run_pipeline
@@ -523,21 +554,54 @@ def test_run_pipeline_with_adapter(tmp_path):
 
 def test_ingest_errors_carry_line_numbers(tmp_path):
     from voxkit import SourceAdapterSpec
-    from voxkit.manifest import AdapterError, ManifestError
-    from voxkit.pipeline import ingest
+    from voxkit.manifest import AdapterError, DuplicateKeyError
     adapter = SourceAdapterSpec(
         source="web", field_map={"key": "id", "raw_text": "text"},
         defaults={"language": "en", "audio_ref": "a.wav", "duration_s": 1.0})
-    good = json.dumps({"id": "r1", "text": "hello"})
+    good_row = json.dumps({"id": "r1", "text": "hello"})
+    good_record = json.dumps(rec("r1", 1.0).to_json_dict())
     rows = tmp_path / "rows.jsonl"
-    cases = [("[1, 2]", ManifestError, "line 2: expected a JSON object"),
-             (json.dumps({"text": "no id"}), AdapterError,
+    # The same row loop serves source rows (with an adapter) and manifest
+    # records (without one).
+    cases = [(adapter, good_row, "[1, 2]", AdapterError,
+              "line 2: expected a JSON object"),
+             (adapter, good_row, json.dumps({"text": "no id"}), AdapterError,
               "line 2, field 'key': no mapping"),
-             (good, ManifestError, "line 2, key 'r1': duplicate key")]
-    for second, error, fragment in cases:
+             (None, good_record, "[1, 2]", SchemaError,
+              "line 2, field '<line>': expected object")]
+    for spec, good in ((adapter, good_row), (None, good_record)):
+        cases += [(spec, good, good, DuplicateKeyError,
+                   "line 2, key 'r1': duplicate key"),
+                  (spec, good, "{not json", SchemaError,
+                   "line 2: invalid JSON")]
+    for spec, good, second, error, fragment in cases:
         rows.write_text(f"{good}\n{second}\n", encoding="utf-8")
         with pytest.raises(error) as err:
-            ingest(rows, adapter)
+            list(read_manifest(rows, spec))
         assert err.value.line_no == 2
         assert fragment in str(err.value)
 
+
+# ----------------------------------------------------------------- README
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    match = re.search(r"Library:\n\n```python\n(.*?)```",
+                      README.read_text(encoding="utf-8"), re.S)
+    assert match, "README has no library example"
+    records = [rec("ok1", 8.0, text="this is a perfectly normal sentence here"),
+               rec("ok2", 7.0, text="another entirely ordinary line of words"),
+               rec("badlang", 5.0, language="xx", text="whatever text")]
+    full_config(tmp_path, records)
+    # The example reads corpus.jsonl and emissions/ in the working directory.
+    (tmp_path / "in.jsonl").rename(tmp_path / "corpus.jsonl")
+    (tmp_path / "emit").rename(tmp_path / "emissions")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(match.group(1), str(README), "exec"), {})
+    assert capsys.readouterr().out == "{'bad_language': 1}\n"
+    out = tmp_path / "out"
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert summary["output_records"] == 2
+    assert len(list(out.glob("shard_*.jsonl"))) == 8
