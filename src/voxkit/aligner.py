@@ -34,6 +34,9 @@ from .manifest import WordSpan, atomic_write
 
 BLANK_TOKEN = "<blank>"
 
+# The ways force_align can aggregate a word's frame posteriors into its score.
+SCORE_MODES = ("geometric", "arithmetic")
+
 # Each row of log-probs must sum to one in probability space within this.
 _ROW_NORM_TOL = 1e-3
 
@@ -188,7 +191,7 @@ def align_batch(items: Sequence[tuple[EmissionMatrix, Sequence[str]]], *,
     AlignmentError that force_align raises. Each utterance keeps its own
     trellis, so sharing the frame loop changes no result.
     """
-    if score_mode not in ("geometric", "arithmetic"):
+    if score_mode not in SCORE_MODES:
         raise ValueError(f"unknown score_mode {score_mode!r}")
     results: list = [None] * len(items)
     jobs = []

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import editctl, flowsched
-from .aligner import AlignmentError
+from .aligner import SCORE_MODES, AlignmentError
 from .audio import AudioFormatError, read_wav, write_wav
 from .curate import (CurationError, EvalCriteria, compute_stats, eligible,
                      render_stats_table, select_eval, stats_to_json_dict,
@@ -57,6 +57,17 @@ def _parse_kv(pairs: list[str], flag: str) -> dict[str, str]:
         key, value = pair.split("=", 1)
         out[key.strip()] = value.strip()
     return out
+
+
+def _given(args, *options: str, **renamed: str) -> dict:
+    """Keyword arguments for the options the user set.
+
+    An option left unset is None and keeps the library default. renamed
+    maps a parameter to the option that sets it.
+    """
+    names = {option: option for option in options} | renamed
+    return {param: getattr(args, option) for param, option in names.items()
+            if getattr(args, option) is not None}
 
 
 # ---------------------------------------------------------------- commands
@@ -109,18 +120,11 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_align(args) -> int:
     return _run_stages(args, ("align",), skip_failed=args.skip_failed,
-                       emissions_dir=args.emissions,
-                       score_mode=args.score_mode)
+                       emissions_dir=args.emissions, **_given(args, "score_mode"))
 
 
 def _filter_config_from_args(args) -> FilterConfig:
-    kwargs: dict = {}
-    if args.min_duration_s is not None:
-        kwargs["min_duration_s"] = args.min_duration_s
-    if args.max_duration_s is not None:
-        kwargs["max_duration_s"] = args.max_duration_s
-    if args.max_gap_s is not None:
-        kwargs["max_gap_s"] = args.max_gap_s
+    kwargs = _given(args, "min_duration_s", "max_duration_s", "max_gap_s")
     for spec, value in _parse_kv(args.threshold, "--threshold").items():
         try:
             add_threshold(kwargs, spec, value)
@@ -139,21 +143,16 @@ def _cmd_fit_bounds(args) -> int:
     records = [r for r in read_manifest(args.input)
                if r.language == args.language]
     low, high = fit_ratio_bounds(records, args.language,
-                                 percentile=args.percentile)
+                                 **_given(args, "percentile"))
     print(json.dumps({"language": args.language, "min_ratio": low,
                       "max_ratio": high}, sort_keys=True))
     return EXIT_OK
 
 
 def _cmd_curate_eval(args) -> int:
-    criteria = EvalCriteria(
-        min_confidence=args.min_confidence,
-        min_words=args.min_words,
-        min_duration_s=args.min_duration_s,
-        max_duration_s=args.max_duration_s,
-        trailing_silence_s=args.trailing_silence_s,
-        target_per_language=args.target,
-    )
+    criteria = EvalCriteria(**_given(
+        args, "min_confidence", "min_words", "min_duration_s", "max_duration_s",
+        "trailing_silence_s", target_per_language="target"))
     pools: dict[str, list] = {}
     trims = []
     for record in read_manifest(args.input):
@@ -194,7 +193,7 @@ def _cmd_shard(args) -> int:
     records = list(read_manifest(args.input))
     assignment = shard(records, args.shards)
     out_dir = Path(args.output_dir)
-    write_shards(records, assignment, out_dir, args.prefix)
+    write_shards(records, assignment, out_dir, **_given(args, "prefix"))
     write_json(out_dir / "assignment.json", {
         "n_shards": assignment.n_shards,
         "durations_s": [round(d, 3) for d in assignment.durations],
@@ -208,8 +207,8 @@ def _cmd_shard(args) -> int:
 
 
 def _cmd_sched(args) -> int:
-    guidance = flowsched.GuidanceParams(strength=args.strength)
-    sway = flowsched.SwayParams(gamma=args.gamma, steps=args.steps)
+    guidance = flowsched.GuidanceParams(**_given(args, "strength"))
+    sway = flowsched.SwayParams(**_given(args, "gamma", "steps"))
     rows = flowsched.schedule_table(guidance, sway)
     if args.json:
         payload = [{"step": k, "uniform": s, "warped": t, "guidance": g}
@@ -228,7 +227,7 @@ def _cmd_editsim(args) -> int:
         target_tokens=args.target_tokens,
         mask_start=args.mask[0],
         mask_end=args.mask[1],
-        max_rounds=args.max_rounds,
+        **_given(args, "max_rounds"),
     )
     if not args.flags or set(args.flags) - {"0", "1"}:
         raise UsageError(f"--flags must be a string of 0s and 1s, "
@@ -322,8 +321,7 @@ def build_parser() -> _Parser:
     p.add_argument("--output", "-o", required=True)
     p.add_argument("--emissions", required=True,
                    help="directory of per-key emission files")
-    p.add_argument("--score-mode", choices=("geometric", "arithmetic"),
-                   default="geometric")
+    p.add_argument("--score-mode", choices=SCORE_MODES)
     p.add_argument("--skip-failed", action="store_true",
                    help="drop unalignable records instead of aborting")
 
@@ -345,19 +343,18 @@ def build_parser() -> _Parser:
     p.add_argument("--input", "-i", required=True)
     p.add_argument("--language", "-l", required=True,
                    choices=SUPPORTED_LANGUAGES)
-    p.add_argument("--percentile", type=float, default=1.0)
+    p.add_argument("--percentile", type=float)
 
     p = add("curate-eval", _cmd_curate_eval, "build the evaluation subset")
     p.add_argument("--input", "-i", required=True)
     p.add_argument("--output", "-o", required=True)
     p.add_argument("--trims", help="write duration trim instructions here")
-    p.add_argument("--min-confidence", type=float, default=0.9)
-    p.add_argument("--min-words", type=int, default=5)
-    p.add_argument("--min-duration-s", type=float, default=3.0)
-    p.add_argument("--max-duration-s", type=float, default=15.0)
-    p.add_argument("--trailing-silence-s", type=float, default=0.2)
-    p.add_argument("--target", type=int, default=500,
-                   help="records to keep per language")
+    p.add_argument("--min-confidence", type=float)
+    p.add_argument("--min-words", type=int)
+    p.add_argument("--min-duration-s", type=float)
+    p.add_argument("--max-duration-s", type=float)
+    p.add_argument("--trailing-silence-s", type=float)
+    p.add_argument("--target", type=int, help="records to keep per language")
 
     p = add("stats", _cmd_stats, "per-language corpus statistics")
     p.add_argument("--input", "-i", required=True)
@@ -367,12 +364,12 @@ def build_parser() -> _Parser:
     p.add_argument("--input", "-i", required=True)
     p.add_argument("--output-dir", "-o", required=True)
     p.add_argument("--shards", "-n", type=int, required=True)
-    p.add_argument("--prefix", default="shard_")
+    p.add_argument("--prefix")
 
     p = add("sched", _cmd_sched, "print guidance and sampling schedules")
-    p.add_argument("--steps", type=int, default=32)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--strength", type=float, default=5.0)
+    p.add_argument("--steps", type=int)
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--strength", type=float)
     p.add_argument("--json", action="store_true")
 
     p = add("editsim", _cmd_editsim, "trace the re-generation state machine")
@@ -381,7 +378,7 @@ def build_parser() -> _Parser:
     p.add_argument("--target-tokens", type=int, required=True)
     p.add_argument("--mask", type=int, nargs=2, required=True,
                    metavar=("START", "END"), help="edit mask in frames")
-    p.add_argument("--max-rounds", type=int, default=3)
+    p.add_argument("--max-rounds", type=int)
     p.add_argument("--flags", required=True,
                    help="retry flag per attempt, e.g. 1101")
     p.add_argument("--frames", help="comma-separated frames per attempt "

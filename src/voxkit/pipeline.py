@@ -15,14 +15,15 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
-from .aligner import (AlignmentError, AlignmentResult, EmissionFormatError,
-                      align_grouped, find_emissions, load_emissions)
+from .aligner import (SCORE_MODES, AlignmentError, AlignmentResult,
+                      EmissionFormatError, align_grouped, find_emissions,
+                      load_emissions)
 from .curate import compute_stats, stats_to_json_dict
 from .manifest import (ManifestError, SchemaError, SourceAdapterSpec,
                        UtteranceRecord, _write_records, read_manifest,
                        validate_record, with_words, write_json,
                        write_json_lines, write_manifest)
-from .quality import FilterConfig, run_chain
+from .quality import FilterConfig, QualityError, run_chain
 from .textnorm import (EmptyTextError, LanguageProfile, ProfileError,
                        UnmappableCharacterError, load_profiles, normalize,
                        romanize)
@@ -38,11 +39,15 @@ class PipelineError(Exception):
 
 
 class ConfigError(PipelineError):
-    def __init__(self, message: str, line_no: int | None = None):
+    """A bad setting; key names the config-file key it came from, if known."""
+
+    def __init__(self, message: str, line_no: int | None = None,
+                 key: str | None = None):
         if line_no is not None:
             message = f"line {line_no}: {message}"
         super().__init__(message)
         self.line_no = line_no
+        self.key = key
 
 
 class PipelineStageError(PipelineError):
@@ -104,7 +109,7 @@ def shard(records: Sequence[UtteranceRecord], n_shards: int) -> ShardAssignment:
 
 
 def write_shards(records: Sequence[UtteranceRecord], assignment: ShardAssignment,
-                 out_dir: Path, prefix: str) -> None:
+                 out_dir: Path, prefix: str = "shard_") -> None:
     """Write each shard's records, sorted by key, to out_dir/{prefix}NNN.jsonl."""
     by_key = {r.key: r for r in records}
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -131,13 +136,15 @@ class PipelineConfig:
     """Everything run_pipeline needs, resolved and validated.
 
     The three paths may be given as strings; they are stored as Path.
+    profiles defaults to the filter's, so normalize and the filter accept
+    the same languages.
     """
 
     input_path: Path
     output_dir: Path
     stages: tuple[str, ...] = STAGES
     filter_config: FilterConfig = field(default_factory=FilterConfig)
-    profiles: Mapping[str, LanguageProfile] = field(default_factory=dict)
+    profiles: Mapping[str, LanguageProfile] | None = None
     emissions_dir: Path | None = None
     adapter: SourceAdapterSpec | None = None
     shard_count: int = 1
@@ -150,44 +157,55 @@ class PipelineConfig:
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, Path(value))
-        if self.score_mode not in ("geometric", "arithmetic"):
-            raise ConfigError(f"score_mode must be geometric or arithmetic, "
-                              f"got {self.score_mode!r}")
+        object.__setattr__(self, "stages", tuple(self.stages))
+        if self.profiles is None:
+            object.__setattr__(self, "profiles", self.filter_config.profiles)
+        if self.score_mode not in SCORE_MODES:
+            raise ConfigError(f"score_mode must be {' or '.join(SCORE_MODES)}, "
+                              f"got {self.score_mode!r}", key="score_mode")
         for stage in self.stages:
             if stage not in STAGES:
                 raise ConfigError(f"unknown stage {stage!r}; valid: "
-                                  f"{', '.join(STAGES)}")
+                                  f"{', '.join(STAGES)}", key="stages")
         if len(set(self.stages)) != len(self.stages):
-            raise ConfigError("stages listed more than once")
+            raise ConfigError("stages listed more than once", key="stages")
         if "align" in self.stages and self.emissions_dir is None:
-            raise ConfigError("align stage requires emissions_dir")
+            raise ConfigError("align stage requires emissions_dir", key="stages")
         if self.shard_count < 1:
-            raise ConfigError(f"shard_count must be >= 1, got {self.shard_count}")
+            raise ConfigError(f"shard_count must be >= 1, got {self.shard_count}",
+                              key="shard_count")
         if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+            raise ConfigError(f"workers must be >= 1, got {self.workers}",
+                              key="workers")
 
 
-def _parse_bool(value: str, key: str, line_no: int) -> bool:
+def _read_bool(value: str) -> bool:
     low = value.lower()
     if low in ("true", "yes", "1"):
         return True
     if low in ("false", "no", "0"):
         return False
-    raise ConfigError(f"{key} expects true/false, got {value!r}", line_no)
+    raise ValueError(value)
 
 
-def _parse_float(value: str, key: str, line_no: int) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key} expects a number, got {value!r}", line_no) from None
-
-
-def _parse_int(value: str, key: str, line_no: int) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key} expects an integer, got {value!r}", line_no) from None
+# The plain keys of a config file: key -> (the settings it goes to, the
+# setting, its reader, and what the error for a value the reader rejects
+# says the key expects). A key that is not given keeps the library default.
+_PLAIN_KEYS = {
+    "input": (PipelineConfig, "input_path", Path, None),
+    "output_dir": (PipelineConfig, "output_dir", Path, None),
+    "emissions_dir": (PipelineConfig, "emissions_dir", Path, None),
+    "stages": (PipelineConfig, "stages", str.split, None),
+    "shard_count": (PipelineConfig, "shard_count", int, "an integer"),
+    "workers": (PipelineConfig, "workers", int, "an integer"),
+    "split_zh_chars": (PipelineConfig, "split_zh_chars", _read_bool, "true/false"),
+    "score_mode": (PipelineConfig, "score_mode", str, None),
+    "languages": (load_profiles, "languages", str.split, None),
+    "min_duration_s": (FilterConfig, "min_duration_s", float, "a number"),
+    "max_duration_s": (FilterConfig, "max_duration_s", float, "a number"),
+    "max_gap_s": (FilterConfig, "max_gap_s", float, "a number"),
+    "max_symbol_fraction": (FilterConfig, "max_symbol_fraction", float, "a number"),
+}
 
 
 def add_threshold(filter_kwargs: dict, spec: str, value: str) -> None:
@@ -226,7 +244,9 @@ def load_pipeline_config(path: str | Path,
     threshold.pair.S.L) and the ingest adapter (adapter.source,
     adapter.map.FIELD, adapter.default.FIELD). Eval-set criteria are not
     pipeline settings: an eval.* key is an error that points to
-    `voxkit curate-eval`.
+    `voxkit curate-eval`. A key that is not given keeps the default of the
+    setting it stands for; `languages` chooses the profiles that load, and
+    those are the languages the pipeline accepts.
     """
     path = Path(path)
     base = path.parent
@@ -235,12 +255,11 @@ def load_pipeline_config(path: str | Path,
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
-    plain: dict[str, tuple[str, int]] = {}
-    filter_kwargs: dict = {}
+    settings: dict = {PipelineConfig: {}, FilterConfig: {}, load_profiles: {}}
+    line_of: dict[str, int] = {}
     adapter_map: dict[str, str] = {}
     adapter_defaults: dict[str, str] = {}
     adapter_source: str | None = None
-    seen: set[str] = set()
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -251,12 +270,12 @@ def load_pipeline_config(path: str | Path,
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
             raise ConfigError(f"empty key or value in {line!r}", line_no)
-        if key in seen:
+        if key in line_of:
             raise ConfigError(f"duplicate key {key!r}", line_no)
-        seen.add(key)
+        line_of[key] = line_no
         if key.startswith("threshold."):
             try:
-                add_threshold(filter_kwargs, key[len("threshold."):], value)
+                add_threshold(settings[FilterConfig], key[len("threshold."):], value)
             except ValueError as exc:
                 raise ConfigError(str(exc), line_no) from None
         elif key.startswith("eval."):
@@ -269,92 +288,48 @@ def load_pipeline_config(path: str | Path,
             adapter_defaults[key[len("adapter.default."):]] = value
         elif key == "adapter.source":
             adapter_source = value
-        elif key in ("input", "output_dir", "emissions_dir", "stages",
-                     "languages", "min_duration_s", "max_duration_s",
-                     "max_gap_s", "max_symbol_fraction", "shard_count",
-                     "workers", "split_zh_chars", "score_mode"):
-            plain[key] = (value, line_no)
+        elif key in _PLAIN_KEYS:
+            target, name, reader, expects = _PLAIN_KEYS[key]
+            try:
+                settings[target][name] = reader(value)
+            except ValueError:
+                raise ConfigError(f"{key} expects {expects}, got {value!r}",
+                                  line_no) from None
         else:
             raise ConfigError(f"unknown key {key!r}", line_no)
 
-    def take(key: str) -> tuple[str, int] | None:
-        return plain.get(key)
+    for key in ("input", "output_dir"):
+        if key not in line_of:
+            raise ConfigError(f"missing required key {key!r}")
+    pipeline_kwargs = settings[PipelineConfig]
+    for name in ("input_path", "output_dir", "emissions_dir"):
+        if name in pipeline_kwargs:
+            pipeline_kwargs[name] = (base / pipeline_kwargs[name]).resolve()
+    if not pipeline_kwargs["input_path"].exists():
+        raise ConfigError(f"input manifest {pipeline_kwargs['input_path']} does "
+                          f"not exist", line_of["input"])
+    emissions_dir = pipeline_kwargs.get("emissions_dir")
+    if emissions_dir is not None and not emissions_dir.is_dir():
+        raise ConfigError(f"emissions_dir {emissions_dir} does not exist",
+                          line_of["emissions_dir"])
 
-    entry = take("input")
-    if entry is None:
-        raise ConfigError("missing required key 'input'")
-    input_path = (base / entry[0]).resolve()
-    if not input_path.exists():
-        raise ConfigError(f"input manifest {input_path} does not exist", entry[1])
-
-    entry = take("output_dir")
-    if entry is None:
-        raise ConfigError("missing required key 'output_dir'")
-    output_dir = (base / entry[0]).resolve()
-
-    emissions_dir = None
-    entry = take("emissions_dir")
-    if entry is not None:
-        emissions_dir = (base / entry[0]).resolve()
-        if not emissions_dir.is_dir():
-            raise ConfigError(f"emissions_dir {emissions_dir} does not exist",
-                              entry[1])
-
-    entry = take("stages")
-    stages = tuple(entry[0].split()) if entry else STAGES
-
-    entry = take("languages")
-    if entry:
-        languages = tuple(sorted(entry[0].split()))
-    else:
-        languages = None
-
-    for key in ("min_duration_s", "max_duration_s", "max_gap_s",
-                "max_symbol_fraction"):
-        entry = take(key)
-        if entry is not None:
-            filter_kwargs[key] = _parse_float(entry[0], key, entry[1])
-    if languages is not None:
-        filter_kwargs["languages"] = languages
-    try:
-        if languages is not None:
-            profiles = load_profiles(languages, profiles_dir)
-        else:
-            profiles = load_profiles(profiles_dir=profiles_dir)
-    except ProfileError as exc:
-        raise ConfigError(str(exc)) from exc
-    filter_config = FilterConfig(profiles=profiles, **filter_kwargs)
-
-    adapter = None
     if adapter_map or adapter_defaults or adapter_source:
         if not adapter_source:
             raise ConfigError("adapter.map.* given without adapter.source")
-        adapter = SourceAdapterSpec(source=adapter_source,
-                                    field_map=adapter_map,
-                                    defaults=adapter_defaults)
+        pipeline_kwargs["adapter"] = SourceAdapterSpec(
+            source=adapter_source, field_map=adapter_map,
+            defaults=adapter_defaults)
 
-    entry = take("shard_count")
-    shard_count = _parse_int(entry[0], "shard_count", entry[1]) if entry else 1
-    entry = take("workers")
-    workers = _parse_int(entry[0], "workers", entry[1]) if entry else 1
-    entry = take("split_zh_chars")
-    split_zh = _parse_bool(entry[0], "split_zh_chars", entry[1]) if entry else False
-    entry = take("score_mode")
-    score_mode = entry[0] if entry else "geometric"
-
-    return PipelineConfig(
-        input_path=input_path,
-        output_dir=output_dir,
-        stages=stages,
-        filter_config=filter_config,
-        profiles=profiles,
-        emissions_dir=emissions_dir,
-        adapter=adapter,
-        shard_count=shard_count,
-        split_zh_chars=split_zh,
-        score_mode=score_mode,
-        workers=workers,
-    )
+    try:
+        profiles = load_profiles(**settings[load_profiles], profiles_dir=profiles_dir)
+        filter_config = FilterConfig(profiles=profiles, **settings[FilterConfig])
+        return PipelineConfig(filter_config=filter_config, **pipeline_kwargs)
+    except ConfigError as exc:
+        if exc.key in line_of:
+            raise ConfigError(str(exc), line_of[exc.key], key=exc.key) from None
+        raise
+    except (ProfileError, QualityError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------- stages
@@ -555,7 +530,7 @@ def run_pipeline(config: PipelineConfig,
 
     if config.shard_count > 1:
         assignment = shard(records, config.shard_count)
-        write_shards(records, assignment, config.output_dir, "shard_")
+        write_shards(records, assignment, config.output_dir)
         note(f"shard: {config.shard_count} shards, "
              f"{max(assignment.durations, default=0.0):.1f}s max")
 

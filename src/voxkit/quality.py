@@ -17,7 +17,6 @@ from .manifest import UtteranceRecord
 from .textnorm import (
     DEFAULT_MAX_SYMBOL_FRACTION,
     LanguageProfile,
-    SUPPORTED_LANGUAGES,
     char_ratio,
     validate_charset,
 )
@@ -55,7 +54,8 @@ class FilterConfig:
     Confidence thresholds resolve most-specific first: the (source, language)
     pair, then the source, then the language, then the global default. A
     record passes the confidence check only when its confidence exceeds the
-    resolved threshold.
+    resolved threshold. The languages with a profile are the language
+    whitelist.
     """
 
     default_confidence_threshold: float = 0.3
@@ -65,7 +65,6 @@ class FilterConfig:
     min_duration_s: float = 0.5
     max_duration_s: float = 30.0
     max_gap_s: float = 4.0
-    languages: tuple[str, ...] = SUPPORTED_LANGUAGES
     profiles: Mapping[str, LanguageProfile] = field(default_factory=dict)
     max_symbol_fraction: float = DEFAULT_MAX_SYMBOL_FRACTION
 
@@ -153,9 +152,7 @@ def filter_rate(record: UtteranceRecord, config: FilterConfig) -> list[str]:
 
 
 def filter_language(record: UtteranceRecord, config: FilterConfig) -> list[str]:
-    """Whitelist the language, then validate the raw text's characters."""
-    if record.language not in config.languages:
-        return [BAD_LANGUAGE]
+    """Whitelist the language by profile, then validate the raw text's characters."""
     profile = config.profiles.get(record.language)
     if profile is None:
         return [BAD_LANGUAGE]

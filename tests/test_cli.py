@@ -497,6 +497,10 @@ def test_shard_writes_files_and_assignment(tmp_path):
     shard1 = [r["key"] for r in read_lines(out_dir / "shard_001.jsonl")]
     assert shard0 == ["k0", "k3"]
     assert shard1 == ["k1", "k2"]
+    assert main(["shard", "-i", str(src), "-o", str(tmp_path / "named"),
+                 "-n", "2", "--prefix", "part_"]) == 0
+    assert sorted(p.name for p in (tmp_path / "named").iterdir()) == [
+        "assignment.json", "part_000.jsonl", "part_001.jsonl"]
 
 
 def test_shard_bad_count(tmp_path, capsys):
@@ -551,6 +555,15 @@ def test_sched_json(capsys):
     assert rows[0] == {"step": 0, "uniform": 0.0, "warped": 0.0,
                        "guidance": 5.0}
     assert rows[-1]["guidance"] == 0.0
+    # Options left unset keep the library's defaults.
+    table = voxkit.flowsched.schedule_table()
+    assert main(["sched", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [tuple(row.values()) for row in rows] == table
+    assert main(["sched", "--json", "--strength", "2.0"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == len(table)
+    assert rows[0]["guidance"] == 2.0
 
 
 def test_sched_text(capsys):

@@ -188,7 +188,7 @@ adapter.default.language = en
     assert (fc.min_duration_s, fc.max_duration_s) == (1.0, 20.0)
     assert fc.max_gap_s == 3.0
     assert fc.max_symbol_fraction == 0.2
-    assert fc.languages == ("en", "zh")
+    assert set(fc.profiles) == {"en", "zh"}
     assert set(config.profiles) == {"en", "zh"}
     assert config.adapter.source == "yt"
     assert config.adapter.field_map == {"key": "id", "raw_text": "text"}
@@ -225,11 +225,66 @@ def test_config_errors_carry_line_numbers(tmp_path):
         ("adapter.source = web\nadapter.map.key = key\nadapter.map.key = id\n",
          "line 5: duplicate key 'adapter.map.key'"),
         ("stages = filter align\n", "emissions_dir"),
+        # Errors about a setting's value name the line it was set on.
+        ("stages = filter\nshard_count = 0\n",
+         "line 4: shard_count must be >= 1, got 0"),
+        ("stages = filter\nworkers = 0\n", "line 4: workers must be >= 1, got 0"),
+        ("workers = 2\nstages = normalize bogus\n",
+         "line 4: unknown stage 'bogus'"),
+        ("stages = filter filter\n", "line 3: stages listed more than once"),
+        ("score_mode = fancy\n", "line 3: score_mode must be geometric or "
+                                  "arithmetic, got 'fancy'"),
+        # Filter thresholds the filter rejects are config errors too.
+        ("threshold.default = 1.5\n", "confidence threshold 1.5 outside"),
+        ("max_gap_s = -1\n", "max_gap_s must be positive"),
+        ("min_duration_s = 40\n", "need 0 < min_duration_s < max_duration_s"),
+        ("languages = en xx\n", "no bundled profile for language 'xx'"),
     ]
     for body, fragment in cases:
         with pytest.raises(ConfigError) as err:
             load_pipeline_config(write_config(tmp_path, body))
         assert fragment in str(err.value)
+
+
+def test_pipeline_profiles_default_to_the_filters(tmp_path):
+    # Profiles given once, to the filter, serve normalize as well.
+    manifest = tmp_path / "in.jsonl"
+    write_manifest([rec("en1", 4.0), rec("zh1", 4.0, language="zh",
+                                         text="你好世界")], manifest)
+    config = PipelineConfig(input_path=manifest, output_dir=tmp_path / "out",
+                            stages=("normalize", "romanize"),
+                            filter_config=FilterConfig(profiles=PROFILES))
+    assert config.profiles is config.filter_config.profiles
+    summary = run_pipeline(config)
+    assert summary["rejections"] == {}
+    assert summary["output_records"] == 2
+
+
+def test_normalize_and_filter_accept_the_same_languages(tmp_path):
+    # A profile outside the bundled ten (here xx, with English rules) is
+    # accepted by normalize and the filter alike; a language without a
+    # profile is rejected by both.
+    profiles_dir = tmp_path / "profiles"
+    profiles_dir.mkdir()
+    en_text = (Path(__file__).parents[1] / "src" / "voxkit" / "textnorm" / "data"
+               / "profiles" / "en.profile").read_text(encoding="utf-8")
+    (profiles_dir / "en.profile").write_text(en_text, encoding="utf-8")
+    (profiles_dir / "xx.profile").write_text(
+        en_text.replace("language = en", "language = xx"), encoding="utf-8")
+    profiles = load_profiles(("en", "xx"), profiles_dir)
+    config = PipelineConfig(input_path=tmp_path / "in.jsonl",
+                            output_dir=tmp_path / "out",
+                            filter_config=FilterConfig(profiles=profiles),
+                            profiles=profiles, emissions_dir=tmp_path)
+    for language, passes in (("xx", True), ("en", True), ("de", False)):
+        record = aligned_rec(f"{language}1", language=language)
+        verdicts = []
+        for stage in ("normalize", "filter"):
+            survivors, rejected = pipeline_module.run_stage(stage, [record], config)
+            verdicts.append([r.reasons for r in rejected])
+            assert bool(survivors) is passes, (language, stage)
+        expected = [] if passes else [("bad_language",)]
+        assert verdicts == [expected, expected], language
 
 
 def test_config_requires_existing_input(tmp_path):
