@@ -25,8 +25,8 @@ from .pipeline import (ConfigError, PipelineConfig, PipelineError,
                        PipelineStageError, add_threshold, run_stage, shard,
                        write_rejections, write_shards)
 from .quality import FilterConfig, QualityError, fit_ratio_bounds
-from .textnorm import (EmptyTextError, ProfileError, SUPPORTED_LANGUAGES,
-                       UnmappableCharacterError, load_profiles)
+from .textnorm import (EmptyTextError, ProfileError, UnmappableCharacterError,
+                       load_profiles)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -309,7 +309,8 @@ def build_parser() -> _Parser:
     p = add("normalize", _cmd_normalize, "normalize and romanize transcripts")
     p.add_argument("--input", "-i", required=True)
     p.add_argument("--output", "-o", required=True)
-    p.add_argument("--profiles", help="directory of language profiles")
+    p.add_argument("--profiles", help="directory of language profiles; the "
+                   "languages it holds are the ones accepted")
     p.add_argument("--no-romanize", action="store_true")
     p.add_argument("--split-zh-chars", action="store_true",
                    help="one romanized token per CJK character")
@@ -329,7 +330,8 @@ def build_parser() -> _Parser:
     p.add_argument("--input", "-i", required=True)
     p.add_argument("--output", "-o", required=True)
     p.add_argument("--rejects", help="write rejected keys and reasons here")
-    p.add_argument("--profiles")
+    p.add_argument("--profiles", help="directory of language profiles; the "
+                   "languages it holds are the ones accepted")
     p.add_argument("--min-duration-s", type=float)
     p.add_argument("--max-duration-s", type=float)
     p.add_argument("--max-gap-s", type=float)
@@ -341,8 +343,7 @@ def build_parser() -> _Parser:
     p = add("fit-bounds", _cmd_fit_bounds,
             "fit speech-rate bounds from percentiles")
     p.add_argument("--input", "-i", required=True)
-    p.add_argument("--language", "-l", required=True,
-                   choices=SUPPORTED_LANGUAGES)
+    p.add_argument("--language", "-l", required=True)
     p.add_argument("--percentile", type=float)
 
     p = add("curate-eval", _cmd_curate_eval, "build the evaluation subset")

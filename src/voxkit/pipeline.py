@@ -136,8 +136,9 @@ class PipelineConfig:
     """Everything run_pipeline needs, resolved and validated.
 
     The three paths may be given as strings; they are stored as Path.
-    profiles defaults to the filter's, so normalize and the filter accept
-    the same languages.
+    profiles and filter_config.profiles are one mapping, the languages that
+    normalize and the filter accept: given on either side, it serves both,
+    and two different mappings are a ConfigError.
     """
 
     input_path: Path
@@ -158,8 +159,13 @@ class PipelineConfig:
             if value is not None:
                 object.__setattr__(self, name, Path(value))
         object.__setattr__(self, "stages", tuple(self.stages))
-        if self.profiles is None:
-            object.__setattr__(self, "profiles", self.filter_config.profiles)
+        if self.profiles and not self.filter_config.profiles:
+            object.__setattr__(self, "filter_config",
+                               replace(self.filter_config, profiles=self.profiles))
+        elif self.profiles and self.profiles != self.filter_config.profiles:
+            raise ConfigError("profiles and filter_config.profiles differ; give "
+                              "the language set once", key="profiles")
+        object.__setattr__(self, "profiles", self.filter_config.profiles)
         if self.score_mode not in SCORE_MODES:
             raise ConfigError(f"score_mode must be {' or '.join(SCORE_MODES)}, "
                               f"got {self.score_mode!r}", key="score_mode")
@@ -324,11 +330,9 @@ def load_pipeline_config(path: str | Path,
         profiles = load_profiles(**settings[load_profiles], profiles_dir=profiles_dir)
         filter_config = FilterConfig(profiles=profiles, **settings[FilterConfig])
         return PipelineConfig(filter_config=filter_config, **pipeline_kwargs)
-    except ConfigError as exc:
-        if exc.key in line_of:
-            raise ConfigError(str(exc), line_of[exc.key], key=exc.key) from None
-        raise
-    except (ProfileError, QualityError) as exc:
+    except (ConfigError, QualityError) as exc:
+        raise ConfigError(str(exc), line_of.get(exc.key), key=exc.key) from None
+    except ProfileError as exc:
         raise ConfigError(str(exc)) from exc
 
 

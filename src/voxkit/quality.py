@@ -36,7 +36,12 @@ REASON_ORDER = (LOW_CONFIDENCE, TOO_SHORT, TOO_LONG, LONG_GAP, RATE_LOW,
 
 
 class QualityError(ValueError):
-    pass
+    """A bad filter setting or input; key names the setting at fault, as a
+    config file spells it, if there is one."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 class MissingConfidenceError(QualityError):
@@ -69,18 +74,31 @@ class FilterConfig:
     max_symbol_fraction: float = DEFAULT_MAX_SYMBOL_FRACTION
 
     def __post_init__(self):
-        thresholds = [self.default_confidence_threshold,
-                      *self.thresholds_by_source_language.values(),
-                      *self.thresholds_by_source.values(),
-                      *self.thresholds_by_language.values()]
-        for value in thresholds:
+        # Each threshold under its config-file key, so that an error names it.
+        thresholds = [("threshold.default", self.default_confidence_threshold)]
+        thresholds += [(f"threshold.pair.{source}.{language}", value)
+                       for (source, language), value
+                       in self.thresholds_by_source_language.items()]
+        thresholds += [(f"threshold.source.{source}", value)
+                       for source, value in self.thresholds_by_source.items()]
+        thresholds += [(f"threshold.language.{language}", value)
+                       for language, value in self.thresholds_by_language.items()]
+        for key, value in thresholds:
             if not (0.0 <= value <= 1.0):
-                raise QualityError(f"confidence threshold {value} outside [0, 1]")
+                raise QualityError(f"confidence threshold {value} outside [0, 1]", key)
         if not (0 < self.min_duration_s < self.max_duration_s):
+            # Blame the bound that was moved: max only when it left its default.
+            moved_max = (self.min_duration_s > 0
+                         and self.max_duration_s != FilterConfig.max_duration_s)
             raise QualityError(f"need 0 < min_duration_s < max_duration_s, got "
-                               f"[{self.min_duration_s}, {self.max_duration_s}]")
-        if self.max_gap_s <= 0:
-            raise QualityError(f"max_gap_s must be positive, got {self.max_gap_s}")
+                               f"[{self.min_duration_s}, {self.max_duration_s}]",
+                               "max_duration_s" if moved_max else "min_duration_s")
+        if not (0 < self.max_gap_s < math.inf):
+            raise QualityError(f"max_gap_s must be positive and finite, got "
+                               f"{self.max_gap_s}", "max_gap_s")
+        if not (0 <= self.max_symbol_fraction <= 1):
+            raise QualityError(f"max_symbol_fraction must be in [0, 1], got "
+                               f"{self.max_symbol_fraction}", "max_symbol_fraction")
 
     def confidence_threshold(self, source: str, language: str) -> float:
         pair = self.thresholds_by_source_language.get((source, language))

@@ -1,9 +1,9 @@
 """Language profiles: per-language charset, rate bounds, and rule set.
 
 Profiles live in plain-text ``<lang>.profile`` files with ``key = value``
-lines. The bundled set covers the ten supported languages; a directory of
-replacement profiles can be supplied explicitly or via the VOXKIT_PROFILES
-environment variable.
+lines, one directory holding one language set. The bundled directory covers
+the ten supported languages; another directory, given explicitly or via the
+VOXKIT_PROFILES environment variable, may hold fewer or more.
 
 File keys:
     language      two-letter code, must match the file name
@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
+from typing import Iterable
 
 SUPPORTED_LANGUAGES = ("de", "en", "es", "fr", "id", "it", "pt", "ru", "vi", "zh")
 
@@ -121,41 +122,54 @@ def parse_profile(text: str, origin: str = "<string>") -> LanguageProfile:
     )
 
 
-def _bundled_text(language: str) -> str:
-    ref = resources.files("voxkit.textnorm") / "data" / "profiles" / f"{language}.profile"
-    if not ref.is_file():
-        raise ProfileError(f"no bundled profile for language {language!r}")
-    return ref.read_text(encoding="utf-8")
+def _profiles_dir(profiles_dir: str | Path | None) -> Path:
+    """profiles_dir, else the VOXKIT_PROFILES directory, else the bundled one."""
+    if profiles_dir is None:
+        profiles_dir = (os.environ.get(_ENV_VAR)
+                        or resources.files("voxkit.textnorm") / "data" / "profiles")
+    path = Path(profiles_dir)
+    if not path.is_dir():
+        raise ProfileError(f"no profile directory at {path}")
+    return path
 
 
 def load_profile(language: str, profiles_dir: str | Path | None = None) -> LanguageProfile:
-    """Load one language profile.
+    """Load ``<dir>/<language>.profile``.
 
-    Resolution order: explicit ``profiles_dir``, the VOXKIT_PROFILES
-    environment variable, then the bundled defaults.
+    The directory is ``profiles_dir``, else the VOXKIT_PROFILES environment
+    variable, else the bundled profiles.
     """
-    if profiles_dir is None:
-        env_dir = os.environ.get(_ENV_VAR)
-        profiles_dir = env_dir if env_dir else None
-
-    if profiles_dir is not None:
-        path = Path(profiles_dir) / f"{language}.profile"
-        if not path.is_file():
-            raise ProfileError(f"profile file not found: {path}")
+    directory = _profiles_dir(profiles_dir)
+    path = directory / f"{language}.profile"
+    try:
         text = path.read_text(encoding="utf-8")
-        origin = str(path)
-    else:
-        text = _bundled_text(language)
-        origin = f"<bundled {language}.profile>"
-
-    profile = parse_profile(text, origin=origin)
+    except OSError as exc:
+        raise ProfileError(f"no profile for language {language!r}: {exc}") from exc
+    profile = parse_profile(text, origin=str(path))
     if profile.language != language:
         raise ProfileError(
-            f"{origin}: profile declares language {profile.language!r}, "
+            f"{path}: profile declares language {profile.language!r}, "
             f"expected {language!r}")
     return profile
 
 
-def load_profiles(languages: tuple[str, ...] = SUPPORTED_LANGUAGES,
+def load_profiles(languages: Iterable[str] | None = None,
                   profiles_dir: str | Path | None = None) -> dict[str, LanguageProfile]:
-    return {lang: load_profile(lang, profiles_dir) for lang in languages}
+    """Load the profiles of a directory, resolved as in load_profile.
+
+    Every ``*.profile`` in it, sorted by language, unless ``languages``
+    names which ones to load. The profiles loaded are the language set that
+    normalize and the filter accept.
+    """
+    directory = _profiles_dir(profiles_dir)
+    if languages is None:
+        try:
+            languages = sorted(name[:-len(".profile")]
+                               for name in os.listdir(directory)
+                               if name.endswith(".profile"))
+        except OSError as exc:
+            raise ProfileError(f"cannot list {directory}: {exc}") from exc
+        if not languages:
+            raise ProfileError(f"profile directory {directory} holds no "
+                               f"*.profile file")
+    return {lang: load_profile(lang, directory) for lang in languages}

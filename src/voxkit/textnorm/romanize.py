@@ -1,9 +1,9 @@
 """Script transliteration into a shared lowercase Latin token alphabet.
 
 Every output token matches ``^[a-z']+$``. Mapping is per script, driven by
-plain-text tables that can be swapped out: Cyrillic and CJK characters go
-through lookup tables, Latin letters are folded by stripping combining marks
-(plus a small special-case table for letters like ß that do not decompose).
+the bundled plain-text tables: Cyrillic and CJK characters go through lookup
+tables, Latin letters are folded by stripping combining marks (plus a small
+special-case table for letters like ß that do not decompose).
 
 Tokenization splits on whitespace and punctuation; apostrophes inside a token
 survive so contractions stay whole. Chinese groups romanize to one token per
@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from functools import lru_cache
+from functools import cache
 from importlib import resources
-from pathlib import Path
 
 _TOKEN_RE = re.compile(r"^[a-z']+$")
 
@@ -38,14 +37,10 @@ class UnmappableCharacterError(ValueError):
         self.language = language
 
 
-def _read_table(name: str, tables_dir: str | Path | None) -> dict[str, str]:
-    if tables_dir is not None:
-        text = (Path(tables_dir) / name).read_text(encoding="utf-8")
-    else:
-        ref = resources.files("voxkit.textnorm") / "data" / "translit" / name
-        text = ref.read_text(encoding="utf-8")
+def _read_table(name: str) -> dict[str, str]:
+    ref = resources.files("voxkit.textnorm") / "data" / "translit" / name
     table: dict[str, str] = {}
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(ref.read_text(encoding="utf-8").splitlines(), 1):
         if not raw or raw.startswith("#"):
             continue
         src, _, dst = raw.partition("\t")
@@ -55,12 +50,12 @@ def _read_table(name: str, tables_dir: str | Path | None) -> dict[str, str]:
     return table
 
 
-@lru_cache(maxsize=8)
-def _tables(tables_dir: str | None) -> tuple[dict[str, str], dict[str, str], dict[str, str]]:
+@cache
+def _tables() -> tuple[dict[str, str], dict[str, str], dict[str, str]]:
     return (
-        _read_table("cyrillic.tsv", tables_dir),
-        _read_table("pinyin.tsv", tables_dir),
-        _read_table("latin_fold.tsv", tables_dir),
+        _read_table("cyrillic.tsv"),
+        _read_table("pinyin.tsv"),
+        _read_table("latin_fold.tsv"),
     )
 
 
@@ -106,14 +101,13 @@ def _map_char(ch: str, language: str, tables) -> str:
     return ""
 
 
-def romanize(text: str, language: str, *, split_zh_chars: bool = False,
-             tables_dir: str | Path | None = None) -> list[str]:
+def romanize(text: str, language: str, *, split_zh_chars: bool = False) -> list[str]:
     """Map normalized text to lowercase Latin tokens.
 
     Expects already-normalized input (lowercase, clean punctuation). Raises
     UnmappableCharacterError for letters no table covers.
     """
-    tables = _tables(str(tables_dir) if tables_dir is not None else None)
+    tables = _tables()
     text = text.lower()
 
     tokens: list[str] = []

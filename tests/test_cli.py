@@ -182,6 +182,38 @@ def test_normalize_rejections_follow_the_pipeline(tmp_path):
         assert [r["key"] for r in read_lines(out)] == ["ok"]
 
 
+def test_profiles_directory_is_the_language_set(tmp_path, capsys):
+    # A directory holding only the bundled en profile accepts en alone.
+    profiles = tmp_path / "profiles"
+    profiles.mkdir()
+    bundled = Path(voxkit.__file__).parent / "textnorm" / "data" / "profiles"
+    (profiles / "en.profile").write_bytes((bundled / "en.profile").read_bytes())
+    src = manifest_of(tmp_path, [rec("de1", language="de"), rec("en1")])
+    out = tmp_path / "out.jsonl"
+    base = ["-i", str(src), "-o", str(out), "--profiles", str(profiles)]
+    assert main(["normalize", *base]) == 2
+    assert "no profile for language 'de'" in capsys.readouterr().err
+    assert main(["normalize", *base, "--skip-failed"]) == 0
+    assert [r["key"] for r in read_lines(out)] == ["en1"]
+    rejects = tmp_path / "rejects.jsonl"
+    assert main(["filter", *base, "--rejects", str(rejects)]) == 0
+    assert [r["key"] for r in read_lines(out)] == ["en1"]
+    assert read_lines(rejects) == [
+        {"key": "de1", "stage": "filter", "reasons": ["bad_language"]}]
+
+
+def test_empty_or_missing_profiles_directory(tmp_path, capsys):
+    src = manifest_of(tmp_path, [rec("en1")])
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    for command in ("normalize", "filter"):
+        for directory, message in ((empty, "holds no"),
+                                   (tmp_path / "nowhere", "no profile directory")):
+            assert main([command, "-i", str(src), "-o", str(tmp_path / "o.jsonl"),
+                         "--profiles", str(directory)]) == 2
+            assert message in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ align
 
 def peaked_emissions(tokens, duration_s):
@@ -413,18 +445,20 @@ def test_filter_bad_threshold_spec(tmp_path):
 # ------------------------------------------------------------- fit-bounds
 
 def test_fit_bounds_prints_json(tmp_path, capsys):
-    records = []
-    for i in range(1, 26):
-        text = "x" * (4 * i)
-        records.append(rec(f"u{i:02d}", duration_s=4.0, text=text,
-                           normalized_text=text))
-    src = manifest_of(tmp_path, records)
-    assert main(["fit-bounds", "-i", str(src), "-l", "en",
-                 "--percentile", "10"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["language"] == "en"
-    assert payload["min_ratio"] == 3.0
-    assert payload["max_ratio"] == 23.0
+    # fit-bounds loads no profile, so a language outside the bundled set works.
+    for language in ("en", "xx"):
+        records = []
+        for i in range(1, 26):
+            text = "x" * (4 * i)
+            records.append(rec(f"u{i:02d}", duration_s=4.0, text=text,
+                               normalized_text=text, language=language))
+        src = manifest_of(tmp_path, records)
+        assert main(["fit-bounds", "-i", str(src), "-l", language,
+                     "--percentile", "10"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["language"] == language
+        assert payload["min_ratio"] == 3.0
+        assert payload["max_ratio"] == 23.0
 
 
 def test_fit_bounds_too_few_records(tmp_path):

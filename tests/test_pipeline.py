@@ -234,11 +234,21 @@ def test_config_errors_carry_line_numbers(tmp_path):
         ("stages = filter filter\n", "line 3: stages listed more than once"),
         ("score_mode = fancy\n", "line 3: score_mode must be geometric or "
                                   "arithmetic, got 'fancy'"),
-        # Filter thresholds the filter rejects are config errors too.
-        ("threshold.default = 1.5\n", "confidence threshold 1.5 outside"),
-        ("max_gap_s = -1\n", "max_gap_s must be positive"),
-        ("min_duration_s = 40\n", "need 0 < min_duration_s < max_duration_s"),
-        ("languages = en xx\n", "no bundled profile for language 'xx'"),
+        # Filter settings the filter rejects are config errors on their line.
+        ("threshold.default = 1.5\n", "line 3: confidence threshold 1.5 outside"),
+        ("workers = 2\nthreshold.pair.web.zh = 2\n",
+         "line 4: confidence threshold 2.0 outside"),
+        ("threshold.source.web = 0.5\nthreshold.language.zh = -0.1\n",
+         "line 4: confidence threshold -0.1 outside"),
+        ("max_gap_s = -1\n", "line 3: max_gap_s must be positive"),
+        ("workers = 2\nmax_gap_s = nan\n", "line 4: max_gap_s must be positive"),
+        ("min_duration_s = 40\n",
+         "line 3: need 0 < min_duration_s < max_duration_s"),
+        ("workers = 2\nmax_duration_s = 0.2\n",
+         "line 4: need 0 < min_duration_s < max_duration_s"),
+        ("max_symbol_fraction = 1.5\n",
+         "line 3: max_symbol_fraction must be in [0, 1], got 1.5"),
+        ("languages = en xx\n", "no profile for language 'xx'"),
     ]
     for body, fragment in cases:
         with pytest.raises(ConfigError) as err:
@@ -258,6 +268,33 @@ def test_pipeline_profiles_default_to_the_filters(tmp_path):
     summary = run_pipeline(config)
     assert summary["rejections"] == {}
     assert summary["output_records"] == 2
+
+
+def test_pipeline_profiles_fill_the_filters(tmp_path):
+    # Profiles given once, to the pipeline, serve the filter as well.
+    manifest = tmp_path / "in.jsonl"
+    write_manifest([aligned_rec("en1")], manifest)
+    config = PipelineConfig(input_path=manifest, output_dir=tmp_path / "out",
+                            stages=("normalize", "filter"), profiles=PROFILES)
+    assert config.profiles is config.filter_config.profiles
+    summary = run_pipeline(config)
+    assert summary["rejections"] == {}
+    assert summary["output_records"] == 1
+
+
+def test_pipeline_takes_one_language_set(tmp_path):
+    paths = dict(input_path=tmp_path / "in.jsonl", output_dir=tmp_path / "out",
+                 stages=("normalize", "filter"))
+    en_only = {"en": PROFILES["en"]}
+    # The same set given on both sides is one set.
+    config = PipelineConfig(**paths, profiles=dict(PROFILES),
+                            filter_config=FilterConfig(profiles=PROFILES))
+    assert config.profiles is config.filter_config.profiles
+    with pytest.raises(ConfigError) as err:
+        PipelineConfig(**paths, profiles=en_only,
+                       filter_config=FilterConfig(profiles=PROFILES))
+    assert err.value.key == "profiles"
+    assert PipelineConfig(**paths).profiles == {}
 
 
 def test_normalize_and_filter_accept_the_same_languages(tmp_path):

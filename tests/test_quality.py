@@ -4,6 +4,7 @@ from voxkit import (
     FilterConfig,
     InsufficientDataError,
     MissingConfidenceError,
+    QualityError,
     UtteranceRecord,
     WordSpan,
     fit_ratio_bounds,
@@ -129,6 +130,42 @@ def test_charset_checked_on_raw_text():
     record = make_record(raw_text="hello \U0001F600 there friend okay",
                          normalized_text="hello there friend okay")
     assert "bad_charset" in reasons_of(record, cfg)
+
+
+def test_symbol_fraction_must_be_a_fraction():
+    # Out of range, the charset check would reject clean text.
+    for bad in (-1.0, 1.5, float("nan")):
+        with pytest.raises(QualityError) as err:
+            config(max_symbol_fraction=bad)
+        assert err.value.key == "max_symbol_fraction"
+    clean = make_record(raw_text="hello world", normalized_text="hello world")
+    for edge in (0.0, 1.0):
+        assert reasons_of(clean, config(max_symbol_fraction=edge)) == ()
+
+
+def test_gap_limit_must_be_finite_and_positive():
+    # NaN compares false, so it would turn the gap check off.
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(QualityError) as err:
+            config(max_gap_s=bad)
+        assert err.value.key == "max_gap_s"
+
+
+def test_range_errors_name_the_setting():
+    cases = [
+        (dict(default_confidence_threshold=1.5), "threshold.default"),
+        (dict(thresholds_by_source={"web": -0.1}), "threshold.source.web"),
+        (dict(thresholds_by_language={"zh": 2.0}), "threshold.language.zh"),
+        (dict(thresholds_by_source_language={("web", "zh"): 2.0}),
+         "threshold.pair.web.zh"),
+        (dict(min_duration_s=0.0), "min_duration_s"),
+        (dict(min_duration_s=40.0), "min_duration_s"),
+        (dict(max_duration_s=0.2), "max_duration_s"),
+    ]
+    for kwargs, key in cases:
+        with pytest.raises(QualityError) as err:
+            config(**kwargs)
+        assert err.value.key == key, kwargs
 
 
 def test_unknown_language():

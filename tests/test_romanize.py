@@ -73,12 +73,3 @@ def test_unknown_letter_raises():
     with pytest.raises(UnmappableCharacterError):
         romanize("αβγ", "en")
 
-
-def test_custom_tables_dir(tmp_path):
-    tables = tmp_path / "translit"
-    tables.mkdir()
-    (tables / "cyrillic.tsv").write_text("а\tq\n", encoding="utf-8")
-    (tables / "latin_fold.tsv").write_text("", encoding="utf-8")
-    (tables / "pinyin.tsv").write_text("好\tzzz\n", encoding="utf-8")
-    assert romanize("а", "ru", tables_dir=tables) == ["q"]
-    assert romanize("好", "zh", tables_dir=tables) == ["zzz"]

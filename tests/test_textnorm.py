@@ -250,9 +250,29 @@ def test_profile_env_override(tmp_path, monkeypatch):
     (custom / "en.profile").write_text(
         "language = en\nrules = default\nmin_ratio = 1.0\nmax_ratio = 5.0\n"
         "ranges = 0061-007A\npunctuation = .\n", encoding="utf-8")
+    (custom / "notes.txt").write_text("not a profile\n", encoding="utf-8")
     monkeypatch.setenv("VOXKIT_PROFILES", str(custom))
     profile = load_profile("en")
     assert profile.max_ratio == 5.0
+    # The directory's profiles are the language set, however few.
+    assert list(load_profiles()) == ["en"]
+    assert load_profiles()["en"].max_ratio == 5.0
+    with pytest.raises(ProfileError, match="no profile for language 'de'"):
+        load_profiles(("en", "de"))
+
+
+def test_profile_directory_missing_or_empty(tmp_path):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    with pytest.raises(ProfileError, match="holds no"):
+        load_profiles(profiles_dir=empty)
+    not_a_dir = tmp_path / "en.profile"
+    not_a_dir.write_text("language = en\n", encoding="utf-8")
+    for missing in (tmp_path / "nowhere", not_a_dir):
+        with pytest.raises(ProfileError, match="no profile directory"):
+            load_profiles(profiles_dir=missing)
+        with pytest.raises(ProfileError, match="no profile directory"):
+            load_profile("en", missing)
 
 
 def test_bundled_profiles_cover_ten_languages(profiles):
