@@ -209,41 +209,32 @@ def align_batch(items: Sequence[tuple[EmissionMatrix, Sequence[str]]], *,
     return results
 
 
-def align_grouped(jobs: Iterable[tuple[K, EmissionMatrix | None, Sequence[str]]], *,
+def align_grouped(jobs: Iterable[tuple[K, EmissionMatrix, Sequence[str]]], *,
                   score_mode: str = "geometric"
-                  ) -> Iterator[tuple[K, AlignmentResult | AlignmentError | None]]:
+                  ) -> Iterator[tuple[K, AlignmentResult | AlignmentError]]:
     """Align a stream of (key, emissions, tokens) jobs in bounded groups.
 
     Consecutive jobs go to align_batch together while the group's
     back-pointer array (longest frames x utterances x (widest trellis + 2),
     the two pad states of each row included) stays within GROUP_CELLS; an
     utterance larger than that is aligned alone.
-    Yields (key, result) in input order, result as align_batch gives it. A
-    job whose emissions are None is not aligned and yields (key, None) in
-    its place.
+    Yields (key, result) in input order, result as align_batch gives it.
     """
-    group: list = []
-    frames = width = members = 0
+    keys: list = []
+    items: list = []
+    frames = width = 0
     for key, emissions, tokens in jobs:
-        if emissions is not None:
-            # The trellis's 2 * letters + 1 states plus the row's two pad states.
-            row = 2 * sum(len(token) for token in tokens) + 3
-            frames = max(frames, emissions.n_frames)
-            width = max(width, row)
-            members += 1
-            if members > 1 and frames * width * members > GROUP_CELLS:
-                yield from _flush(group, score_mode)
-                group = []
-                frames, width, members = emissions.n_frames, row, 1
-        group.append((key, emissions, tokens))
-    yield from _flush(group, score_mode)
-
-
-def _flush(group: list, score_mode: str) -> Iterator[tuple]:
-    aligned = iter(align_batch([(emissions, tokens) for _, emissions, tokens in group
-                                if emissions is not None], score_mode=score_mode))
-    for key, emissions, _ in group:
-        yield key, (None if emissions is None else next(aligned))
+        # The trellis's 2 * letters + 1 states plus the row's two pad states.
+        row = 2 * sum(len(token) for token in tokens) + 3
+        frames = max(frames, emissions.n_frames)
+        width = max(width, row)
+        if items and frames * width * (len(items) + 1) > GROUP_CELLS:
+            yield from zip(keys, align_batch(items, score_mode=score_mode))
+            keys, items = [], []
+            frames, width = emissions.n_frames, row
+        keys.append(key)
+        items.append((emissions, tokens))
+    yield from zip(keys, align_batch(items, score_mode=score_mode))
 
 
 @dataclass(frozen=True)
@@ -495,7 +486,7 @@ def load_emissions(path: str | Path) -> EmissionMatrix:
 
 
 def _load_npz(path: Path) -> EmissionMatrix:
-    with np.load(path, allow_pickle=False) as data:
+    with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
         return EmissionMatrix(
             log_probs=data["log_probs"],
             frame_dur_s=float(data["frame_dur_s"]),

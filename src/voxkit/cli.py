@@ -19,8 +19,9 @@ from .audio import AudioFormatError, read_wav, write_wav
 from .curate import (CurationError, EvalCriteria, compute_stats, eligible,
                      render_stats_table, select_eval, stats_to_json_dict,
                      trim_trailing_silence)
-from .manifest import (ManifestError, SourceAdapterSpec, read_manifest,
-                       write_json, write_json_lines, write_manifest)
+from .manifest import (ManifestError, SourceAdapterSpec, json_document,
+                       read_manifest, write_json, write_json_lines,
+                       write_manifest)
 from .pipeline import (ConfigError, PipelineConfig, PipelineError,
                        PipelineStageError, add_threshold, run_stage, shard,
                        write_rejections, write_shards)
@@ -181,7 +182,7 @@ def _cmd_curate_eval(args) -> int:
 def _cmd_stats(args) -> int:
     stats = compute_stats(read_manifest(args.input))
     if args.json:
-        print(json.dumps(stats_to_json_dict(stats), indent=2, sort_keys=True))
+        sys.stdout.write(json_document(stats_to_json_dict(stats)))
     else:
         print(render_stats_table(stats))
     return EXIT_OK

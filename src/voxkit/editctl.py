@@ -328,10 +328,6 @@ def stitch(segments: Sequence[np.ndarray], sample_rate: int, fade_s: float,
         if len(arr) < need:
             raise StitchError(f"segment {i} is shorter than its combined overlaps")
 
-    if len(arrays) == 1:
-        plan = StitchPlan((0,), (), n_fade, ())
-        return arrays[0].copy(), plan
-
     total_len = sum(len(a) for a in arrays) - sum(overlaps)
     out = np.zeros(total_len, dtype=dtype)
 

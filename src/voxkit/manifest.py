@@ -403,11 +403,16 @@ def _write_records(records: list[UtteranceRecord], path: Path, make_parent: bool
     return len(records)
 
 
+def json_document(payload: Any) -> str:
+    """payload as one indented, key-sorted JSON document that keeps non-ASCII
+    text as it is, with a final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
 def write_json(path: str | Path, payload: Any) -> None:
-    """Write payload as one indented, key-sorted UTF-8 JSON document, atomically."""
+    """Write payload as a json_document in UTF-8, atomically."""
     with atomic_write(path) as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
-        fh.write("\n")
+        fh.write(json_document(payload))
 
 
 def write_json_lines(path: str | Path, rows: Iterable[Any]) -> None:

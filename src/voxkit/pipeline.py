@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 from .aligner import (SCORE_MODES, AlignmentError, AlignmentResult,
-                      EmissionFormatError, align_grouped, find_emissions,
-                      load_emissions)
+                      EmissionFormatError, EmissionMatrix, align_grouped,
+                      find_emissions, load_emissions)
 from .curate import compute_stats, stats_to_json_dict
 from .manifest import (ManifestError, SchemaError, SourceAdapterSpec,
                        UtteranceRecord, _write_records, read_manifest,
@@ -333,17 +333,10 @@ def load_pipeline_config(path: str | Path,
     except (ConfigError, QualityError) as exc:
         raise ConfigError(str(exc), line_of.get(exc.key), key=exc.key) from None
     except ProfileError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(str(exc), line_of.get("languages")) from exc
 
 
 # ---------------------------------------------------------------- stages
-
-@dataclass
-class _StageOutcome:
-    record: UtteranceRecord | None    # None when rejected
-    reasons: tuple[str, ...] = ()
-    error: Exception | None = None    # explains a rejection; None for a filter verdict
-
 
 class Rejection(NamedTuple):
     """A record a stage dropped, why, and the error that explains it."""
@@ -355,78 +348,81 @@ class Rejection(NamedTuple):
 
 
 def _stage_normalize(record: UtteranceRecord,
-                     config: PipelineConfig) -> _StageOutcome:
+                     config: PipelineConfig) -> UtteranceRecord | Rejection:
     profile = config.profiles.get(record.language)
     if profile is None:
-        return _StageOutcome(None, ("bad_language",), ManifestError(
+        return Rejection(record.key, "normalize", ("bad_language",), ManifestError(
             f"no profile for language {record.language!r}", key=record.key))
     try:
         normalized = normalize(record.raw_text, profile)
     except EmptyTextError as exc:
-        return _StageOutcome(None, ("empty_text",), exc)
-    return _StageOutcome(replace(record, normalized_text=normalized))
+        return Rejection(record.key, "normalize", ("empty_text",), exc)
+    return replace(record, normalized_text=normalized)
 
 
 def _stage_romanize(record: UtteranceRecord,
-                    config: PipelineConfig) -> _StageOutcome:
+                    config: PipelineConfig) -> UtteranceRecord | Rejection:
     text = record.normalized_text or record.raw_text
     try:
         tokens = romanize(text, record.language,
                           split_zh_chars=config.split_zh_chars)
     except UnmappableCharacterError as exc:
-        return _StageOutcome(None, ("unmappable_char",), exc)
+        return Rejection(record.key, "romanize", ("unmappable_char",), exc)
     if not tokens:
-        return _StageOutcome(None, ("empty_text",), EmptyTextError(
+        return Rejection(record.key, "romanize", ("empty_text",), EmptyTextError(
             f"record {record.key!r}: romanization left no tokens"))
-    return _StageOutcome(replace(record, romanized_tokens=tuple(tokens)))
+    return replace(record, romanized_tokens=tuple(tokens))
 
 
-def _stage_align(records: list[UtteranceRecord],
-                 config: PipelineConfig) -> list[_StageOutcome]:
-    """Align consecutive records together, in groups of bounded memory."""
+def _stage_align(records: list[UtteranceRecord], config: PipelineConfig
+                 ) -> list[UtteranceRecord | Rejection]:
+    """Align consecutive records together, in groups of bounded memory; a
+    record without usable emissions is rejected here and never reaches the kernel."""
+    outcomes: list = [None] * len(records)
+
     def jobs():
-        for record in records:
-            emissions = outcome = None
-            try:
-                path = find_emissions(config.emissions_dir, record.key)
-                if path is None:
-                    outcome = _StageOutcome(None, ("missing_emissions",), AlignmentError(
-                        f"no emissions for key {record.key!r} under "
-                        f"{config.emissions_dir}"))
-                elif not record.romanized_tokens:
-                    outcome = _StageOutcome(None, ("empty_text",), ManifestError(
-                        "no romanized_tokens; normalize first", key=record.key))
-                else:
-                    emissions = load_emissions(path)
-            except EmissionFormatError as exc:
-                outcome = _StageOutcome(None, ("bad_emissions",), exc)
-            except Exception as exc:
-                raise PipelineStageError("align", record.key, str(exc)) from exc
-            yield (record, outcome), emissions, record.romanized_tokens
-
-    outcomes: list[_StageOutcome] = []
-    try:
-        for (record, outcome), result in align_grouped(
-                jobs(), score_mode=config.score_mode):
-            if outcome is not None:
-                outcomes.append(outcome)
-            elif isinstance(result, AlignmentError):
-                outcomes.append(_StageOutcome(None, ("unalignable",), result))
+        for index, record in enumerate(records):
+            emissions = _run_record("align", _emissions_for, record, config)
+            if isinstance(emissions, Rejection):
+                outcomes[index] = emissions
             else:
-                outcomes.append(_aligned(record, result))
-    except PipelineError:
+                yield index, emissions, record.romanized_tokens
+
+    try:
+        for index, result in align_grouped(jobs(), score_mode=config.score_mode):
+            outcomes[index] = _aligned(records[index], result)
+    except _DATA_ERRORS:
         raise
     except Exception as exc:
         # A fault inside the kernel belongs to the group that holds the
         # first record without an outcome.
-        raise PipelineStageError("align", records[len(outcomes)].key,
+        raise PipelineStageError("align", records[outcomes.index(None)].key,
                                  f"aligning its group: {exc}") from exc
     return outcomes
 
 
-def _aligned(record: UtteranceRecord, result: AlignmentResult) -> _StageOutcome:
-    """The record with its alignment, or a bad_emissions rejection when the
-    emissions do not fit it (say, they run past its duration)."""
+def _emissions_for(record: UtteranceRecord,
+                   config: PipelineConfig) -> EmissionMatrix | Rejection:
+    path = find_emissions(config.emissions_dir, record.key)
+    if path is None:
+        return Rejection(record.key, "align", ("missing_emissions",), AlignmentError(
+            f"no emissions for key {record.key!r} under {config.emissions_dir}"))
+    if not record.romanized_tokens:
+        return Rejection(record.key, "align", ("empty_text",), ManifestError(
+            "no romanized_tokens; normalize first", key=record.key))
+    try:
+        return load_emissions(path)
+    except EmissionFormatError as exc:
+        return Rejection(record.key, "align", ("bad_emissions",), exc)
+
+
+def _aligned(record: UtteranceRecord, result: AlignmentResult | AlignmentError
+             ) -> UtteranceRecord | Rejection:
+    """The record with its alignment; rejected as unalignable when the kernel
+    found no path, or as bad_emissions when the emissions do not fit the
+    record (say, they run past its duration)."""
+    if isinstance(result, AlignmentError):
+        return Rejection(record.key, "align", ("unalignable",), result)
     aligned = with_words(record, result.words, result.score)
     try:
         validate_record(aligned)
@@ -434,24 +430,40 @@ def _aligned(record: UtteranceRecord, result: AlignmentResult) -> _StageOutcome:
         error = EmissionFormatError(f"emissions for key {record.key!r} do not "
                                     f"fit the record: {exc}")
         error.__cause__ = exc
-        return _StageOutcome(None, ("bad_emissions",), error)
-    return _StageOutcome(aligned)
+        return Rejection(record.key, "align", ("bad_emissions",), error)
+    return aligned
 
 
 def _stage_filter(record: UtteranceRecord,
-                  config: PipelineConfig) -> _StageOutcome:
+                  config: PipelineConfig) -> UtteranceRecord | Rejection:
     verdict = run_chain(record, config.filter_config)
-    if verdict.passed:
-        return _StageOutcome(record)
-    return _StageOutcome(None, verdict.reasons)
+    return (record if verdict.passed
+            else Rejection(record.key, "filter", verdict.reasons, None))
 
 
-# Stages that handle one record at a time; align takes the whole list.
+# Stages that handle one record at a time, handing back the record they pass
+# on or its Rejection; align does the same for the whole list.
 _STAGE_FNS = {
     "normalize": _stage_normalize,
     "romanize": _stage_romanize,
     "filter": _stage_filter,
 }
+
+
+# Errors in the data or the settings; every stage lets them through as they are.
+_DATA_ERRORS = (PipelineError, ManifestError, QualityError)
+
+
+def _run_record(stage: str, fn: Callable[[UtteranceRecord, PipelineConfig], T],
+                record: UtteranceRecord, config: PipelineConfig) -> T:
+    """fn(record, config), with a fault that is not one of _DATA_ERRORS
+    raised as a PipelineStageError that names the stage and the record."""
+    try:
+        return fn(record, config)
+    except _DATA_ERRORS:
+        raise
+    except Exception as exc:
+        raise PipelineStageError(stage, record.key, str(exc)) from exc
 
 
 def run_stage(stage: str, records: list[UtteranceRecord], config: PipelineConfig
@@ -465,25 +477,10 @@ def run_stage(stage: str, records: list[UtteranceRecord], config: PipelineConfig
         outcomes = _stage_align(records, config)
     else:
         fn = _STAGE_FNS[stage]
-
-        def run_one(record: UtteranceRecord) -> _StageOutcome:
-            try:
-                return fn(record, config)
-            except (PipelineError, ManifestError):
-                raise
-            except Exception as exc:
-                raise PipelineStageError(stage, record.key, str(exc)) from exc
-
-        outcomes = parallel_map(run_one, records, config.workers)
-    survivors: list[UtteranceRecord] = []
-    rejections: list[Rejection] = []
-    for record, outcome in zip(records, outcomes):
-        if outcome.record is not None:
-            survivors.append(outcome.record)
-        else:
-            rejections.append(Rejection(record.key, stage, outcome.reasons,
-                                        outcome.error))
-    return survivors, rejections
+        outcomes = parallel_map(lambda record: _run_record(stage, fn, record, config),
+                                records, config.workers)
+    return ([outcome for outcome in outcomes if not isinstance(outcome, Rejection)],
+            [outcome for outcome in outcomes if isinstance(outcome, Rejection)])
 
 
 def write_rejections(rejections: Iterable[Rejection], path: str | Path) -> None:

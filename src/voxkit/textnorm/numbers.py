@@ -504,11 +504,9 @@ def number_to_words(n: int, language: str) -> str:
         raise NumberExpansionError(f"no number rules for language {language!r}")
     if n < 0:
         raise NumberExpansionError(f"cannot spell negative number {n}")
-    render = _RENDERERS[language]
     if n > MAX_COMPOSED:
-        sep = "" if language in NO_SPACE_LANGUAGES else " "
-        return sep.join(render(int(d)) for d in str(n))
-    return render(n)
+        return digits_to_words(str(n), language)
+    return _RENDERERS[language](n)
 
 
 def digits_to_words(digits: str, language: str) -> str:

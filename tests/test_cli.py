@@ -26,6 +26,8 @@ from voxkit import (
     write_wav,
 )
 from voxkit.cli import main
+from voxkit.curate import compute_stats, stats_to_json_dict
+from voxkit.manifest import write_json
 
 
 def words_for(text, duration_s, score=0.95):
@@ -180,6 +182,22 @@ def test_normalize_rejections_follow_the_pipeline(tmp_path):
         assert main(argv) == 2
         assert main(argv + ["--skip-failed"]) == 0
         assert [r["key"] for r in read_lines(out)] == ["ok"]
+
+
+def test_normalize_fault_is_a_stage_failure(tmp_path, monkeypatch, capsys):
+    src = manifest_of(tmp_path, [rec("ok", confidence=None),
+                                 rec("boom", text="boom", confidence=None)])
+
+    def faulty(text, profile):
+        if text == "boom":
+            raise RuntimeError("normalizer crashed")
+        return normalize(text, profile)
+
+    monkeypatch.setattr(voxkit.pipeline, "normalize", faulty)
+    assert main(["normalize", "-i", str(src), "-o",
+                 str(tmp_path / "norm.jsonl"), "--skip-failed"]) == 3
+    assert ("stage failure: stage normalize, record 'boom': normalizer crashed"
+            in capsys.readouterr().err)
 
 
 def test_profiles_directory_is_the_language_set(tmp_path, capsys):
@@ -435,6 +453,13 @@ def test_filter_threshold_flags(tmp_path):
     assert len(read_lines(out)) == 1
 
 
+def test_filter_unaligned_manifest_is_data_error(tmp_path, capsys):
+    src = manifest_of(tmp_path, [rec("a", confidence=None)])
+    assert main(["filter", "-i", str(src), "-o", str(tmp_path / "o.jsonl")]) == 2
+    assert ("data error: record 'a' has no avg_confidence; align it first"
+            in capsys.readouterr().err)
+
+
 def test_filter_bad_threshold_spec(tmp_path):
     src = manifest_of(tmp_path, [rec("a")])
     base = ["filter", "-i", str(src), "-o", str(tmp_path / "o.jsonl")]
@@ -511,6 +536,16 @@ def test_stats_text_and_json(tmp_path, capsys):
     assert payload["total"]["utterances"] == 3
     by_lang = {row["language"]: row for row in payload["languages"]}
     assert by_lang["en"]["utterances"] == 2
+
+
+def test_stats_json_prints_what_stats_json_holds(tmp_path, capsys):
+    records = [rec("a", language="é")]
+    src = manifest_of(tmp_path, records)
+    assert main(["stats", "-i", str(src), "--json"]) == 0
+    write_json(tmp_path / "stats.json", stats_to_json_dict(compute_stats(records)))
+    printed = capsys.readouterr().out
+    assert '"é"' in printed
+    assert printed.encode("utf-8") == (tmp_path / "stats.json").read_bytes()
 
 
 # ------------------------------------------------------------------ shard

@@ -15,6 +15,7 @@ from voxkit import (
     EmissionFormatError,
     EmissionMatrix,
     FilterConfig,
+    MissingConfidenceError,
     PipelineConfig,
     PipelineError,
     PipelineStageError,
@@ -248,7 +249,7 @@ def test_config_errors_carry_line_numbers(tmp_path):
          "line 4: need 0 < min_duration_s < max_duration_s"),
         ("max_symbol_fraction = 1.5\n",
          "line 3: max_symbol_fraction must be in [0, 1], got 1.5"),
-        ("languages = en xx\n", "no profile for language 'xx'"),
+        ("languages = en xx\n", "line 3: no profile for language 'xx'"),
     ]
     for body, fragment in cases:
         with pytest.raises(ConfigError) as err:
@@ -406,6 +407,14 @@ def test_run_pipeline_filters_and_summarizes(tmp_path):
     assert stats["total"]["utterances"] == 15
 
 
+def test_run_pipeline_filter_needs_aligned_records(tmp_path):
+    # A record without a confidence is bad input, not a stage fault.
+    config = filter_only_config(tmp_path, [aligned_rec("ok"), rec("a", 4.0)])
+    with pytest.raises(MissingConfidenceError, match="record 'a' has no "
+                       "avg_confidence; align it first"):
+        run_pipeline(config)
+
+
 def test_run_pipeline_empty_input(tmp_path):
     summary = run_pipeline(filter_only_config(tmp_path, []))
     assert summary["input_records"] == 0
@@ -515,6 +524,50 @@ def test_run_pipeline_wraps_stage_blowups(tmp_path, monkeypatch):
         run_pipeline(config)
     assert err.value.stage == "align"
     assert err.value.key == "broken"
+
+
+def test_run_pipeline_wraps_per_record_faults(tmp_path, monkeypatch):
+    records = [rec("ok", 6.0), rec("boom", 6.0, text="boom goes here")]
+    config = full_config(tmp_path, records)
+
+    def faulty(text, profile):
+        if text == "boom goes here":
+            raise RuntimeError("normalizer crashed")
+        return normalize(text, profile)
+
+    monkeypatch.setattr(pipeline_module, "normalize", faulty)
+    with pytest.raises(PipelineStageError, match="normalizer crashed") as err:
+        run_pipeline(config)
+    assert (err.value.stage, err.value.key) == ("normalize", "boom")
+
+
+def test_run_pipeline_blames_a_kernel_fault_on_its_group(tmp_path, monkeypatch):
+    from voxkit import aligner
+    text = "some gentle words in a quiet room"
+    records = [rec(f"r{i}", 6.0, text=text) for i in range(6)]
+    config = full_config(tmp_path, records)
+    (config.emissions_dir / "r2.npz").unlink()
+    # peaked_emissions gives 2 * letters + 1 frames, and a trellis row holds
+    # 2 * letters + 3 states: two records fit a group, three do not. The
+    # groups are r0 r1 | r3 r4 | r5, r2 being rejected before the kernel.
+    letters = len(text.replace(" ", ""))
+    monkeypatch.setattr(aligner, "GROUP_CELLS",
+                        2 * (2 * letters + 1) * (2 * letters + 3))
+    viterbi = aligner._viterbi
+    calls = []
+
+    def second_group_fails(jobs, *args):
+        calls.append(len(jobs))
+        if len(calls) == 2:
+            raise FloatingPointError("kernel fault")
+        return viterbi(jobs, *args)
+
+    monkeypatch.setattr(aligner, "_viterbi", second_group_fails)
+    with pytest.raises(PipelineStageError, match="aligning its group: "
+                       "kernel fault") as err:
+        run_pipeline(config)
+    assert (err.value.stage, err.value.key) == ("align", "r3")
+    assert calls == [2, 2]
 
 
 @pytest.mark.parametrize("payload", [b"not an archive", b"", b"PK\x03\x04 cut"])
