@@ -90,7 +90,6 @@ from .pipeline import (
     PipelineStageError,
     ShardAssignment,
     load_pipeline_config,
-    parallel_map,
     run_pipeline,
     shard,
 )

@@ -9,7 +9,6 @@ JSON keys sorted, so reruns are byte-identical.
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -31,7 +30,6 @@ from .textnorm import (EmptyTextError, LanguageProfile, ProfileError,
 STAGES = ("normalize", "romanize", "align", "filter")
 
 T = TypeVar("T")
-U = TypeVar("U")
 
 
 class PipelineError(Exception):
@@ -119,16 +117,6 @@ def write_shards(records: Sequence[UtteranceRecord], assignment: ShardAssignment
                        out_dir / f"{prefix}{index:03d}.jsonl", make_parent=False)
 
 
-def parallel_map(fn: Callable[[T], U], items: Iterable[T],
-                 workers: int = 1) -> list[U]:
-    """Map fn over items, preserving input order regardless of worker count."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ------------------------------------------------------------ configuration
 
 @dataclass(frozen=True)
@@ -151,6 +139,8 @@ class PipelineConfig:
     shard_count: int = 1
     split_zh_chars: bool = False
     score_mode: str = "geometric"
+    # Accepted and checked, but it selects nothing: every stage runs in the
+    # calling thread. Callers and config files that set it keep working.
     workers: int = 1
 
     def __post_init__(self):
@@ -177,6 +167,9 @@ class PipelineConfig:
             raise ConfigError("stages listed more than once", key="stages")
         if "align" in self.stages and self.emissions_dir is None:
             raise ConfigError("align stage requires emissions_dir", key="stages")
+        if self.emissions_dir is not None and not self.emissions_dir.is_dir():
+            raise ConfigError(f"emissions_dir {self.emissions_dir} is not a "
+                              f"directory", key="emissions_dir")
         if self.shard_count < 1:
             raise ConfigError(f"shard_count must be >= 1, got {self.shard_count}",
                               key="shard_count")
@@ -314,10 +307,6 @@ def load_pipeline_config(path: str | Path,
     if not pipeline_kwargs["input_path"].exists():
         raise ConfigError(f"input manifest {pipeline_kwargs['input_path']} does "
                           f"not exist", line_of["input"])
-    emissions_dir = pipeline_kwargs.get("emissions_dir")
-    if emissions_dir is not None and not emissions_dir.is_dir():
-        raise ConfigError(f"emissions_dir {emissions_dir} does not exist",
-                          line_of["emissions_dir"])
 
     if adapter_map or adapter_defaults or adapter_source:
         if not adapter_source:
@@ -477,8 +466,7 @@ def run_stage(stage: str, records: list[UtteranceRecord], config: PipelineConfig
         outcomes = _stage_align(records, config)
     else:
         fn = _STAGE_FNS[stage]
-        outcomes = parallel_map(lambda record: _run_record(stage, fn, record, config),
-                                records, config.workers)
+        outcomes = [_run_record(stage, fn, record, config) for record in records]
     return ([outcome for outcome in outcomes if not isinstance(outcome, Rejection)],
             [outcome for outcome in outcomes if isinstance(outcome, Rejection)])
 

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -277,6 +278,16 @@ def test_align_missing_emissions(tmp_path, capsys):
     assert read_lines(out) == []
 
 
+def test_align_missing_emissions_directory_is_data_error(tmp_path, capsys):
+    record = rec("a", confidence=None, romanized_tokens=("hi",))
+    src = manifest_of(tmp_path, [record])
+    out = tmp_path / "aligned.jsonl"
+    assert main(["align", "-i", str(src), "-o", str(out), "--emissions",
+                 str(tmp_path / "missing"), "--skip-failed"]) == 2
+    assert "emissions_dir" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_align_skip_failed_drops_records_without_tokens(tmp_path, capsys):
     record = rec("a", confidence=None, duration_s=4.0, text="hi there")
     src = manifest_of(tmp_path, [record])
@@ -546,6 +557,18 @@ def test_stats_json_prints_what_stats_json_holds(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert '"é"' in printed
     assert printed.encode("utf-8") == (tmp_path / "stats.json").read_bytes()
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["table", "json"])
+def test_stats_on_an_ascii_stdout_is_data_error(tmp_path, capsys, monkeypatch,
+                                                flags):
+    src = manifest_of(tmp_path, [rec("a", language="é")])
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["stats", "-i", str(src)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: 'ascii' codec can't encode")
+    assert err.count("\n") == 1
 
 
 # ------------------------------------------------------------------ shard

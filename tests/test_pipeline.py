@@ -1,7 +1,7 @@
 import json
 import math
 import re
-import time
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,6 @@ from voxkit import (
     load_pipeline_config,
     load_profiles,
     normalize,
-    parallel_map,
     romanize,
     run_pipeline,
     read_manifest,
@@ -119,23 +118,6 @@ def test_keys_for_lists_each_shard_sorted():
         assert out.keys_for(index) == expected
     out.keys_for(0).clear()
     assert out.keys_for(0)
-
-
-# ------------------------------------------------------------ parallel_map
-
-def test_parallel_map_preserves_order():
-    def jittered(x):
-        time.sleep(0.002 * (7 - x % 8))
-        return x * x
-
-    items = list(range(24))
-    expected = [x * x for x in items]
-    assert parallel_map(jittered, items, workers=1) == expected
-    assert parallel_map(jittered, items, workers=4) == expected
-
-
-def test_parallel_map_empty():
-    assert parallel_map(lambda x: x, [], workers=4) == []
 
 
 # ------------------------------------------------------------ configuration
@@ -250,6 +232,9 @@ def test_config_errors_carry_line_numbers(tmp_path):
         ("max_symbol_fraction = 1.5\n",
          "line 3: max_symbol_fraction must be in [0, 1], got 1.5"),
         ("languages = en xx\n", "line 3: no profile for language 'xx'"),
+        ("emissions_dir = nowhere\n", "line 3: emissions_dir "),
+        ("workers = 2\nemissions_dir = in.jsonl\n",
+         "line 4: emissions_dir "),
     ]
     for body, fragment in cases:
         with pytest.raises(ConfigError) as err:
@@ -336,6 +321,19 @@ def test_config_requires_existing_input(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_pipeline_config(config_path)
     assert "input" in str(err.value)
+
+
+def test_config_rejects_an_emissions_dir_that_is_not_a_directory(tmp_path):
+    # Checked whenever it is given, whatever the stages, so that align never
+    # runs with every record missing its emissions.
+    (tmp_path / "a_file").write_text("", encoding="utf-8")
+    for emissions_dir, stages in ((tmp_path / "nowhere", ("align",)),
+                                  (tmp_path / "a_file", ("filter",))):
+        with pytest.raises(ConfigError, match="is not a directory") as err:
+            PipelineConfig(input_path=tmp_path / "in.jsonl",
+                           output_dir=tmp_path / "out", stages=stages,
+                           emissions_dir=emissions_dir)
+        assert err.value.key == "emissions_dir"
 
 
 def test_config_takes_string_paths(tmp_path):
@@ -670,6 +668,29 @@ def test_run_pipeline_is_deterministic(tmp_path):
         a = (tmp_path / "out_a" / name).read_bytes()
         b = (tmp_path / "out_b" / name).read_bytes()
         assert a == b, f"{name} differs between runs"
+
+
+def test_run_pipeline_runs_every_stage_in_the_calling_thread(tmp_path,
+                                                            monkeypatch):
+    records = [rec(f"en{i}", 6.0 + i, text=f"words number {i} spoken slowly")
+               for i in range(4)]
+    config = full_config(tmp_path, records, workers=4)
+    threads = []
+
+    def recorded(fn):
+        def wrapper(*args, **kwargs):
+            threads.append((fn.__name__, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("normalize", "romanize", "run_chain"):
+        monkeypatch.setattr(pipeline_module, name,
+                            recorded(getattr(pipeline_module, name)))
+    assert run_pipeline(config)["output_records"] == len(records)
+    assert sorted({name for name, _ in threads}) == ["normalize", "romanize",
+                                                     "run_chain"]
+    assert len(threads) == 3 * len(records)
+    assert {ident for _, ident in threads} == {threading.get_ident()}
 
 
 def test_run_pipeline_with_adapter(tmp_path):
