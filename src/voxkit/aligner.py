@@ -19,6 +19,8 @@ simple whitespace-separated text format with a one-line header.
 
 from __future__ import annotations
 
+import functools
+import io
 import itertools
 import math
 import warnings
@@ -42,6 +44,12 @@ _ROW_NORM_TOL = 1e-3
 
 _TEXT_SUFFIX = ".emit"
 _NPZ_SUFFIX = ".npz"
+
+# np.load reads a file as an archive only if it opens with a zip entry or
+# is an empty zip.
+_ZIP_PREFIXES = (b"PK\x03\x04", b"PK\x05\x06")
+# Size in bytes of the header-length field of each .npy format version read.
+_NPY_LENGTH_BYTES = {(1, 0): 2, (2, 0): 4}
 
 _SENTINEL = np.array([-np.inf])
 
@@ -451,6 +459,12 @@ def save_emissions(emissions: EmissionMatrix, path: str | Path) -> None:
     path = Path(path)
     if path.suffix not in (_NPZ_SUFFIX, _TEXT_SUFFIX):
         raise EmissionFormatError(f"unsupported emission file suffix: {path.name}")
+    if path.suffix == _TEXT_SUFFIX:
+        # The header line is split on whitespace when read back.
+        for entry in emissions.vocab:
+            if entry.split() != [entry]:
+                raise EmissionFormatError(f"{path.name}: vocabulary entry {entry!r} "
+                                          f"is empty or holds whitespace")
     with atomic_write(path) as fh:
         if path.suffix == _NPZ_SUFFIX:
             np.savez(fh.buffer, log_probs=emissions.log_probs,
@@ -478,20 +492,64 @@ def load_emissions(path: str | Path) -> EmissionMatrix:
     except KeyError as exc:
         raise EmissionFormatError(f"{path.name}: missing array {exc}") from exc
     except (ValueError, TypeError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
-        # np.load refuses a non-archive as pickled data (ValueError), a
-        # truncated archive as BadZipFile; text that is not UTF-8 raises
-        # UnicodeDecodeError, a ValueError.
+        # _load_npz refuses a non-archive, a malformed .npy member and an
+        # object array (ValueError), a truncated archive or a bad CRC as
+        # BadZipFile; text that is not UTF-8 raises UnicodeDecodeError, a
+        # ValueError.
         raise EmissionFormatError(f"{path.name}: {exc}") from exc
     raise EmissionFormatError(f"unsupported emission file suffix: {path.name}")
 
 
 def _load_npz(path: Path) -> EmissionMatrix:
-    with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
-        return EmissionMatrix(
-            log_probs=data["log_probs"],
-            frame_dur_s=float(data["frame_dur_s"]),
-            vocab=tuple(str(v) for v in data["vocab"]),
-        )
+    """Read an archive as np.load(allow_pickle=False) would, without np.load.
+
+    Every member is read whole, so zipfile checks its CRC.
+    """
+    with open(path, "rb") as fh:
+        if fh.read(4) not in _ZIP_PREFIXES:
+            raise ValueError("not a zip archive")
+        fh.seek(0)
+        with zipfile.ZipFile(fh) as archive:
+            log_probs, frame_dur_s, vocab = (_read_npy(archive, name) for name
+                                             in ("log_probs", "frame_dur_s", "vocab"))
+    if vocab.ndim != 1:
+        raise ValueError(f"vocab must be 1-D, got shape {vocab.shape}")
+    return EmissionMatrix(log_probs=log_probs, frame_dur_s=float(frame_dur_s),
+                          vocab=tuple(map(str, vocab.tolist())))
+
+
+def _read_npy(archive: zipfile.ZipFile, name: str) -> np.ndarray:
+    """The array np.savez stored under name, writable, in its header's order."""
+    try:
+        fp = archive.open(f"{name}.npy")
+    except KeyError:
+        raise KeyError(name) from None
+    with fp:
+        version = np.lib.format.read_magic(fp)
+        if version not in _NPY_LENGTH_BYTES:
+            raise ValueError(f"{name}: unsupported .npy format version {version}")
+        field = fp.read(_NPY_LENGTH_BYTES[version])
+        header = field + fp.read(int.from_bytes(field, "little"))
+        shape, fortran_order, dtype = _npy_header(version, header)
+        data = fp.read()
+    return np.frombuffer(bytearray(data), dtype, count=math.prod(shape)).reshape(
+        shape, order="F" if fortran_order else "C")
+
+
+@functools.lru_cache(maxsize=1024)
+def _npy_header(version: tuple[int, int],
+                header: bytes) -> tuple[tuple[int, ...], bool, np.dtype]:
+    """Shape, Fortran order and dtype from a .npy header and its length field.
+
+    A header parse costs a literal_eval, and a corpus's archives share few
+    distinct headers, so each is parsed once; one that raises is not kept.
+    """
+    read = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+            else np.lib.format.read_array_header_2_0)
+    shape, fortran_order, dtype = read(io.BytesIO(header))
+    if dtype.hasobject:
+        raise ValueError("object arrays cannot be loaded without pickle")
+    return shape, fortran_order, dtype
 
 
 def _load_emit(path: Path) -> EmissionMatrix:

@@ -1,4 +1,8 @@
+import io
 import math
+import pickle
+import re
+import zipfile
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 
 from voxkit import (
     AlignmentError,
+    EmissionFormatError,
     EmissionMatrix,
     InfeasibleAlignmentError,
     UnknownTokenError,
@@ -260,6 +265,162 @@ def test_well_formed_emit_body_skips_the_checked_parser(tmp_path, monkeypatch):
 
     monkeypatch.setattr(aligner_module, "_load_emit_checked", not_expected)
     assert load_emissions(path).n_frames == 3
+
+
+@pytest.mark.parametrize("vocab, bad", [
+    (("<blank>", "a b", ""), "a b"),
+    (("<blank>", "a", " "), " "),
+    (("<blank>", "a", ""), ""),
+    (("<blank>", "a", "b\tc"), "b\tc"),
+    (("<blank>", "a", "b\n"), "b\n"),
+])
+def test_emit_save_refuses_vocabulary_its_header_cannot_hold(tmp_path, vocab, bad):
+    emissions = EmissionMatrix(np.log(np.full((2, 3), 1 / 3)), 0.02, vocab)
+    path = tmp_path / "utt1.emit"
+    save_emissions(peaked_emissions([1, 2], vocab_size=3), path)
+    before = path.read_bytes()
+    with pytest.raises(EmissionFormatError, match=re.escape(repr(bad))):
+        save_emissions(emissions, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    save_emissions(emissions, tmp_path / "utt1.npz")
+    assert load_emissions(tmp_path / "utt1.npz").vocab == vocab
+
+
+def load_with_np_load(path):
+    """What load_emissions returned when it read archives through np.load."""
+    with np.load(path, allow_pickle=False) as data:
+        return EmissionMatrix(log_probs=data["log_probs"],
+                              frame_dur_s=float(data["frame_dur_s"]),
+                              vocab=tuple(str(v) for v in data["vocab"]))
+
+
+def npy_bytes(array, version=None):
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, np.asanyarray(array), version=version)
+    return buf.getvalue()
+
+
+def npy_members(emissions, version=None):
+    return {"log_probs.npy": npy_bytes(emissions.log_probs, version),
+            "frame_dur_s.npy": npy_bytes(np.float64(emissions.frame_dur_s)),
+            "vocab.npy": npy_bytes(np.array(emissions.vocab))}
+
+
+def write_zip(path, members):
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+
+
+def savez_as(dtype, order, save=np.savez, **extra):
+    def write(path, emissions):
+        save(path, log_probs=np.asarray(emissions.log_probs, dtype=dtype, order=order),
+             frame_dur_s=np.float64(emissions.frame_dur_s),
+             vocab=np.array(emissions.vocab), **extra)
+    return write
+
+
+NPZ_FORMS = {
+    **{f"{np.dtype(dtype).name}-{order}": savez_as(dtype, order)
+       for dtype in (np.float16, np.float32, np.float64) for order in "CF"},
+    "compressed": savez_as(np.float32, "C", save=np.savez_compressed),
+    "npy-2.0": lambda path, emissions: write_zip(path, npy_members(emissions, (2, 0))),
+    "extra-member": savez_as(np.float64, "C", extra=np.arange(4)),
+}
+
+
+@pytest.mark.parametrize("form", NPZ_FORMS)
+def test_npz_reader_matches_np_load(tmp_path, form):
+    path = tmp_path / "utt1.npz"
+    NPZ_FORMS[form](path, peaked_emissions([1, 2, 0, 3, 3], vocab_size=4,
+                                           frame_dur_s=0.04))
+    got, want = load_emissions(path), load_with_np_load(path)
+    assert got.log_probs.dtype == np.float64
+    assert got.log_probs.tobytes() == want.log_probs.tobytes()
+    assert got.log_probs.flags.f_contiguous == want.log_probs.flags.f_contiguous
+    assert got.log_probs.flags.writeable
+    assert (got.vocab, got.frame_dur_s) == (want.vocab, want.frame_dur_s)
+
+
+def object_vocab(path, emissions):
+    np.savez(path, log_probs=emissions.log_probs,
+             frame_dur_s=np.float64(emissions.frame_dur_s),
+             vocab=np.array(emissions.vocab, dtype=object))
+
+
+def without_frame_dur(path, emissions):
+    members = npy_members(emissions)
+    del members["frame_dur_s.npy"]
+    write_zip(path, members)
+
+
+def short_by_one_value(path, emissions):
+    members = npy_members(emissions)
+    members["log_probs.npy"] = members["log_probs.npy"][:-8]
+    write_zip(path, members)
+
+
+def shape_past_address_space(path, emissions):
+    # Reading the header's shape into a new array would need 512 TiB.
+    members = npy_members(emissions)
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, {
+        "descr": "<f8", "fortran_order": False, "shape": (1 << 44, 4)})
+    members["log_probs.npy"] = header.getvalue() + emissions.log_probs.tobytes()
+    write_zip(path, members)
+
+
+def flipped_data_byte(path, emissions):
+    write_zip(path, npy_members(emissions))
+    raw = bytearray(path.read_bytes())
+    raw[raw.index(emissions.log_probs.tobytes()) + 7] ^= 0x01
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("write, message", [
+    (object_vocab, "(?i)object arrays"),
+    (without_frame_dur, "missing array '?frame_dur_s"),
+    (short_by_one_value, None),
+    (shape_past_address_space, None),
+    (flipped_data_byte, "Bad CRC-32 for file 'log_probs.npy'"),
+], ids=["object-vocab", "missing-member", "short-data", "huge-shape", "bad-crc"])
+def test_npz_reader_refuses_malformed_archives(tmp_path, monkeypatch, write, message):
+    path = tmp_path / "utt1.npz"
+    write(path, peaked_emissions([1, 2, 0], vocab_size=3))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an archive member was unpickled")
+
+    monkeypatch.setattr(pickle, "load", refuse)
+    monkeypatch.setattr(pickle, "loads", refuse)
+    with pytest.raises(EmissionFormatError, match=message):
+        load_emissions(path)
+
+
+def test_npz_headers_are_parsed_once_each(tmp_path, monkeypatch):
+    parse = np.lib.format.read_array_header_1_0
+    calls = []
+
+    def counting(fp, *args, **kwargs):
+        calls.append(1)
+        return parse(fp, *args, **kwargs)
+
+    monkeypatch.setattr(np.lib.format, "read_array_header_1_0", counting)
+    aligner_module._npy_header.cache_clear()
+    for i in range(4):
+        save_emissions(peaked_emissions([1, 2, i % 3], vocab_size=3), tmp_path / f"u{i}.npz")
+        load_emissions(tmp_path / f"u{i}.npz")
+    assert len(calls) == 3          # log_probs, frame_dur_s and vocab
+    save_emissions(peaked_emissions([1, 2], vocab_size=3), tmp_path / "two.npz")
+    load_emissions(tmp_path / "two.npz")
+    assert len(calls) == 4          # only the log_probs shape is new
+
+    object_vocab(tmp_path / "bad.npz", peaked_emissions([1, 2], vocab_size=3))
+    for parses in (5, 6):
+        with pytest.raises(EmissionFormatError, match="object arrays"):
+            load_emissions(tmp_path / "bad.npz")
+        assert len(calls) == parses
 
 
 def test_find_emissions_prefers_npz(tmp_path):
