@@ -53,9 +53,9 @@ _NPY_LENGTH_BYTES = {(1, 0): 2, (2, 0): 4}
 
 _SENTINEL = np.array([-np.inf])
 
-# Back-pointer cells (frames x utterances x (states + 2), padded to the
-# longest and widest member) that align_grouped lets one group hold, one
-# byte each.
+# Back-pointer cells that align_grouped lets one group hold, one byte each:
+# the group's longest frame count times the sum of its trellis rows, a row
+# being a trellis's states plus two pad states.
 GROUP_CELLS = 1 << 20
 
 K = TypeVar("K")
@@ -103,7 +103,11 @@ class EmissionMatrix:
     vocab: tuple[str, ...]
 
     def __post_init__(self):
-        lp = np.asarray(self.log_probs, dtype=np.float64)
+        lp = np.asarray(self.log_probs)
+        # Converting would drop an imaginary part or parse text as numbers.
+        if lp.dtype.kind not in "iuf":
+            raise EmissionFormatError(f"log_probs must be real numbers, not {lp.dtype}")
+        lp = np.asarray(lp, dtype=np.float64)
         object.__setattr__(self, "log_probs", lp)
         object.__setattr__(self, "vocab", tuple(self.vocab))
         if lp.ndim != 2 or lp.shape[0] < 1:
@@ -151,11 +155,10 @@ class AlignmentResult:
     frame_dur_s: float
 
 
-def _labels_for_tokens(tokens: Sequence[str], vocab: Sequence[str]) -> tuple[list[int], list[int]]:
-    """Concatenate token characters into vocab indices plus owner word ids."""
+def _labels_for_tokens(tokens: Sequence[str], vocab: Sequence[str]) -> list[int]:
+    """Concatenate token characters into vocab indices."""
     index = {ch: i for i, ch in enumerate(vocab)}
     labels: list[int] = []
-    owners: list[int] = []
     for w, token in enumerate(tokens):
         if not token:
             raise AlignmentError(f"token {w} is empty")
@@ -164,8 +167,7 @@ def _labels_for_tokens(tokens: Sequence[str], vocab: Sequence[str]) -> tuple[lis
             if ix is None or ix == 0:
                 raise UnknownTokenError(ch, token)
             labels.append(ix)
-            owners.append(w)
-    return labels, owners
+    return labels
 
 
 def min_frames_required(labels: Sequence[int]) -> int:
@@ -223,23 +225,23 @@ def align_grouped(jobs: Iterable[tuple[K, EmissionMatrix, Sequence[str]]], *,
     """Align a stream of (key, emissions, tokens) jobs in bounded groups.
 
     Consecutive jobs go to align_batch together while the group's
-    back-pointer array (longest frames x utterances x (widest trellis + 2),
-    the two pad states of each row included) stays within GROUP_CELLS; an
+    back-pointer array (longest frames x the sum of the rows, each row a
+    trellis plus its two pad states) stays within GROUP_CELLS; an
     utterance larger than that is aligned alone.
     Yields (key, result) in input order, result as align_batch gives it.
     """
     keys: list = []
     items: list = []
-    frames = width = 0
+    frames = rows = 0
     for key, emissions, tokens in jobs:
         # The trellis's 2 * letters + 1 states plus the row's two pad states.
         row = 2 * sum(len(token) for token in tokens) + 3
         frames = max(frames, emissions.n_frames)
-        width = max(width, row)
-        if items and frames * width * (len(items) + 1) > GROUP_CELLS:
+        if items and frames * (rows + row) > GROUP_CELLS:
             yield from zip(keys, align_batch(items, score_mode=score_mode))
             keys, items = [], []
-            frames, width = emissions.n_frames, row
+            frames, rows = emissions.n_frames, 0
+        rows += row
         keys.append(key)
         items.append((emissions, tokens))
     yield from zip(keys, align_batch(items, score_mode=score_mode))
@@ -253,20 +255,19 @@ class _Job:
     emissions: EmissionMatrix
     tokens: Sequence[str]
     ext: np.ndarray          # vocab index emitted in each state; even states are blanks
-    owners: np.ndarray       # index of the token that owns each label
 
     @classmethod
     def prepare(cls, slot: int, emissions: EmissionMatrix,
                 tokens: Sequence[str]) -> "_Job":
         if not tokens:
             raise AlignmentError("need at least one token to align")
-        labels, owners = _labels_for_tokens(tokens, emissions.vocab)
+        labels = _labels_for_tokens(tokens, emissions.vocab)
         needed = min_frames_required(labels)
         if emissions.n_frames < needed:
             raise InfeasibleAlignmentError(emissions.n_frames, needed)
         ext = np.zeros(2 * len(labels) + 1, dtype=np.int64)
         ext[1::2] = labels
-        return cls(slot, emissions, tokens, ext, np.array(owners, dtype=np.int64))
+        return cls(slot, emissions, tokens, ext)
 
     @property
     def n_frames(self) -> int:
@@ -282,33 +283,36 @@ def _align_group(jobs: list[_Job], score_mode: str) -> list[AlignmentResult]:
     flat = np.concatenate([*(lp.ravel() for lp in log_probs), _SENTINEL])
     flat_start = np.cumsum([0] + [lp.size for lp in log_probs[:-1]])
     stride = np.array([lp.shape[1] for lp in log_probs], dtype=np.int64)
-    state_paths, totals = _viterbi(jobs, flat, flat_start, stride)
+    # The trellis layout _viterbi works in, job b's row from start[b].
+    # state_symbol is the vocab index each position emits, 0 on pads and
+    # blanks; state_owner is the group-wide index of the token that owns
+    # each label position, a token owning one label per letter.
+    start = np.cumsum([0] + [len(job.ext) + 2 for job in jobs])
+    state_symbol = np.concatenate([part for job in jobs for part in ((0, 0), job.ext)])
+    letters = [len(token) for job in jobs for token in job.tokens]
+    state_owner = np.zeros_like(state_symbol)
+    state_owner[state_symbol > 0] = np.repeat(np.arange(len(letters)), letters)
+    n_frames = np.array([job.n_frames for job in jobs])
+    paths, totals = _viterbi(n_frames.tolist(), start, state_symbol,
+                             flat, flat_start, stride)
 
     # Per-frame arrays of the whole group, utterance after utterance.
-    n_frames = np.array([job.n_frames for job in jobs])
-    state = np.fromiter(itertools.chain.from_iterable(state_paths),
-                        dtype=np.int64, count=int(n_frames.sum()))
+    position = np.fromiter(itertools.chain.from_iterable(paths),
+                           dtype=np.int64, count=int(n_frames.sum()))
     utt = np.repeat(np.arange(len(jobs)), n_frames)
     frame_start = np.cumsum(n_frames) - n_frames
-    n_states = np.array([len(job.ext) for job in jobs])
-    ext_start = np.cumsum(n_states) - n_states
-    symbol = np.concatenate([job.ext for job in jobs])[ext_start[utt] + state]
+    symbol = state_symbol[position]
 
     # Frames spent on a label, with the group-wide index of the owning
     # token. Every label state lies on every complete path, so each token
     # owns at least one frame, and token indices never decrease.
-    on_label = np.flatnonzero(state & 1)
+    on_label = np.flatnonzero(symbol)
     label_utt = utt[on_label]
     frame = on_label - frame_start[label_utt]
     log_p = flat[flat_start[label_utt] + frame * stride[label_utt] + symbol[on_label]]
-    n_labels = (n_states - 1) // 2
-    n_tokens = np.array([len(job.tokens) for job in jobs])
-    token_start = np.cumsum(n_tokens) - n_tokens
-    owner = (np.concatenate([job.owners for job in jobs])[
-        np.cumsum(n_labels)[label_utt] - n_labels[label_utt] + (state[on_label] >> 1)]
-        + token_start[label_utt])
+    owner = state_owner[position[on_label]]
     # np.bincount adds in frame order, as a running sum would.
-    total_tokens = int(n_tokens.sum())
+    total_tokens = len(letters)
     counts = np.bincount(owner, minlength=total_tokens)
     if score_mode == "geometric":
         scores = np.exp(np.bincount(owner, weights=log_p, minlength=total_tokens) / counts)
@@ -318,80 +322,76 @@ def _align_group(jobs: list[_Job], score_mode: str) -> list[AlignmentResult]:
     token_ids = np.arange(total_tokens)
     first = frame[np.searchsorted(owner, token_ids, side="left")]
     last = frame[np.searchsorted(owner, token_ids, side="right") - 1]
+    n_tokens = np.array([len(job.tokens) for job in jobs])
+    token_start = np.cumsum(n_tokens) - n_tokens
     frame_dur = np.repeat([job.emissions.frame_dur_s for job in jobs], n_tokens)
     starts = (first * frame_dur).tolist()
     ends = ((last + 1) * frame_dur).tolist()
     symbols = symbol.tolist()
 
     results = []
-    for b, job in enumerate(jobs):
-        lo = int(token_start[b])
+    for job, lo, f0, total in zip(jobs, token_start.tolist(), frame_start.tolist(), totals):
         words = tuple(WordSpan(word=token, start_s=starts[lo + w], end_s=ends[lo + w],
                                score=scores[lo + w])
                       for w, token in enumerate(job.tokens))
-        f0 = int(frame_start[b])
         results.append(AlignmentResult(
             words=words, path=tuple(symbols[f0:f0 + job.n_frames]),
-            path_logprob=totals[b],
+            path_logprob=total,
             score=float(sum(word.score for word in words) / len(words)),
             frame_dur_s=job.emissions.frame_dur_s))
     return results
 
 
-def _viterbi(jobs: list[_Job], flat: np.ndarray, flat_start: np.ndarray,
+def _viterbi(frames: list[int], start: np.ndarray, symbol: np.ndarray,
+             flat: np.ndarray, flat_start: np.ndarray,
              stride: np.ndarray) -> tuple[list[list[int]], list[float]]:
-    """Best state path and its log-probability for each job.
+    """Best path through each row of the trellis layout, and its log-probability.
 
-    The group's trellises lie end to end in one state vector, in rows of
-    the widest trellis plus two states: row b's state s is at position
-    b * row + 2 + s, so every per-frame call works on contiguous slices.
-    Every state starts at -inf. The two pad states that open a row read
-    the -inf sentinel at the end of flat, so they stay -inf and no row
-    reads its neighbour's states. States past a trellis's last one read the
-    blank column; they only ever feed later padding or the next row's pad
-    states, so no real score sees them. Jobs are sorted longest first, so
-    the rows still running at any frame are a prefix of the vector.
+    Row b lies at positions start[b] to start[b + 1] of one state vector:
+    two pad states, then the states of a trellis over frames[b] frames,
+    position p emitting vocab index symbol[p]. So every per-frame call
+    works on contiguous slices. Every state starts at -inf. The pad states
+    read the -inf sentinel at the end of flat, so they stay -inf and no row
+    reads its neighbour's states. Rows are sorted longest first, so the
+    rows still running at any frame are a prefix of the vector. A path is
+    the position it holds at each frame.
     """
-    n = len(jobs)
-    frames = [job.n_frames for job in jobs]
-    row = max(len(job.ext) for job in jobs) + 2
-    # at[b, 2 + s]: index into flat of state s's emission at the current frame.
-    at = np.zeros((n, row), dtype=np.int64)
-    # skip_cost[b, 2 + s]: 0 where s may be entered from s - 2, else -inf.
-    skip_cost = np.full((n, row), -np.inf)
-    for b, job in enumerate(jobs):
-        ext = job.ext
-        at[b, 2:2 + len(ext)] = ext
-        can_skip = np.zeros(len(ext), dtype=bool)
-        can_skip[3::2] = ext[3::2] != ext[1:-2:2]
-        skip_cost[b, 2:2 + len(ext)][can_skip] = 0.0
-    at += flat_start[:, None]
-    step = np.repeat(stride, row).reshape(n, row)
-    # Pad states read the sentinel at every frame; padding past a trellis
-    # reads the blank column, as at[b, 2 + s] = flat_start[b] left it.
-    at[:, :2] = flat.size - 1
-    step[:, :2] = 0
+    size = len(symbol)
+    rows = np.diff(start)
+    pads = np.concatenate([start[:-1], start[:-1] + 1])
+    # at[p]: index into flat of position p's emission at the current frame.
+    # Pad states start at the sentinel, the last entry of flat, and read it
+    # at every frame, as take clips the indices past it.
+    at = np.repeat(flat_start, rows) + symbol
+    at[pads] = flat.size - 1
+    step = np.repeat(stride, rows)
+    # skip_cost[p]: 0 where label p may be entered from the label two
+    # positions back, else -inf.
+    label = symbol > 0
+    skip_cost = np.full(size, -np.inf)
+    skip_cost[2:][label[2:] & label[:-2] & (symbol[2:] != symbol[:-2])] = 0.0
 
-    # Frame t's scores go to score[t % 2]; state p of the vector is
-    # score[:, 2 + p]. The two leading -inf entries let state p read states
-    # p - 1 and p - 2 as plain slices.
-    score = np.full((2, 2 + n * row), -np.inf)
-    score[0, 2:].reshape(n, row)[:, 2:4] = flat[at[:, 2:4]]
-    at, step, skip_cost = at.ravel(), step.ravel(), skip_cost.ravel()
+    # Frame t's scores go to score[t % 2]; position p is score[:, 2 + p].
+    # The two leading -inf entries let position p read p - 1 and p - 2 as
+    # plain slices. A path starts in its trellis's first blank or label,
+    # the two states after the pad states.
+    score = np.full((2, 2 + size), -np.inf)
+    score[0, 4 + pads] = flat[at[2 + pads]]
     # back[t, p]: 0 = stay, 1 = advance from p-1, 2 = skip from p-2
-    back = np.empty((frames[0], n * row), dtype=np.int8)
+    back = np.empty((frames[0], size), dtype=np.int8)
     back_bool = back.view(np.bool_)
-    emit = np.empty(n * row)
-    skipped = np.empty(n * row)
-    skip_wins = np.empty(n * row, dtype=bool)
+    emit = np.empty(size)
+    skipped = np.empty(size)
+    skip_wins = np.empty(size, dtype=bool)
     take = flat.take
+    offsets = start.tolist()
 
     t = 1
-    for k in range(n, 0, -1):
+    for k in range(len(frames), 0, -1):
         stop = frames[k - 1]
         if t >= stop:
             continue
-        m = k * row
+        m = offsets[k]
         at_k, step_k, emit_k = at[:m], step[:m], emit[:m]
         cost_k, skipped_k, wins_k = skip_cost[:m], skipped[:m], skip_wins[:m]
         views = [(prev[2:2 + m], prev[1:1 + m], prev[:m], cur[2:2 + m])
@@ -410,24 +410,23 @@ def _viterbi(jobs: list[_Job], flat: np.ndarray, flat_start: np.ndarray,
             np.add(best, emit_k, out=best)
         t = stop
 
-    state_paths, totals = [], []
+    paths, totals = [], []
     pointer = back.item
-    for b, job in enumerate(jobs):
+    for b, end in enumerate(offsets[1:]):
         last = frames[b] - 1
-        first = b * row + 2          # vector position of the row's state 0
-        final = score[last & 1, 2 + first:]
+        final = score[last & 1, 2:]
         # Valid endings: final label or final blank; prefer the label on a tie.
-        state = len(job.ext) - 2
-        if final[state] < final[state + 1]:
-            state += 1
-        totals.append(float(final[state]))
-        states = [0] * frames[b]
+        p = end - 2
+        if final[p] < final[p + 1]:
+            p += 1
+        totals.append(float(final[p]))
+        path = [0] * frames[b]
         for t in range(last, 0, -1):
-            states[t] = state
-            state -= pointer(t, first + state)
-        states[0] = state
-        state_paths.append(states)
-    return state_paths, totals
+            path[t] = p
+            p -= pointer(t, p)
+        path[0] = p
+        paths.append(path)
+    return paths, totals
 
 
 def unaligned_gaps(words: Iterable[WordSpan] | AlignmentResult,

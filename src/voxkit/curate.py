@@ -200,7 +200,7 @@ def compute_stats(records: Iterable[UtteranceRecord],
     total = LanguageStats(
         language="total",
         utterances=sum(r.utterances for r in rows),
-        total_duration_s=sum(r.total_duration_s for r in rows),
+        total_duration_s=sum((r.total_duration_s for r in rows), 0.0),
         total_words=sum(r.total_words for r in rows),
     )
     return CorpusStats(unit=unit, rows=tuple(rows), total=total)

@@ -380,11 +380,14 @@ def flipped_data_byte(path, emissions):
 
 @pytest.mark.parametrize("write, message", [
     (object_vocab, "(?i)object arrays"),
+    (savez_as(np.complex128, "C"), "real numbers, not complex128"),
+    (savez_as(np.str_, "C"), "real numbers, not <U"),
     (without_frame_dur, "missing array '?frame_dur_s"),
     (short_by_one_value, None),
     (shape_past_address_space, None),
     (flipped_data_byte, "Bad CRC-32 for file 'log_probs.npy'"),
-], ids=["object-vocab", "missing-member", "short-data", "huge-shape", "bad-crc"])
+], ids=["object-vocab", "complex", "text", "missing-member", "short-data", "huge-shape",
+        "bad-crc"])
 def test_npz_reader_refuses_malformed_archives(tmp_path, monkeypatch, write, message):
     path = tmp_path / "utt1.npz"
     write(path, peaked_emissions([1, 2, 0], vocab_size=3))
@@ -505,6 +508,12 @@ def test_250_letter_utterance_matches_reference_trellis():
     assert len(result.words) == 25
 
 
+def back_pointer_cells(items):
+    """Longest frames x the sum of the rows, each row a trellis plus two pad states."""
+    frames = max(emissions.n_frames for emissions, _ in items)
+    return frames * sum(2 * len("".join(tokens)) + 3 for _, tokens in items)
+
+
 def test_align_grouped_bounds_groups_and_keeps_order(monkeypatch):
     from voxkit import aligner
     rng = np.random.default_rng(11)
@@ -514,20 +523,43 @@ def test_align_grouped_bounds_groups_and_keeps_order(monkeypatch):
         emissions = emissions_from_logits(rng.normal(size=(n_frames, 4)))
         tokens = ["abc"[: 1 + i % 3], "cab"] if i != 4 else ["abcabcab" * 8]
         jobs.append((f"k{i}", emissions, tokens))
-    sizes = []
+    batches = []
 
     def counting_batch(items, **kwargs):
-        sizes.append(len(items))
+        batches.append(list(items))
         return align_batch(items, **kwargs)
 
     monkeypatch.setattr(aligner, "GROUP_CELLS", 1200)
     monkeypatch.setattr(aligner, "align_batch", counting_batch)
     out = list(aligner.align_grouped(iter(jobs)))
     assert [key for key, _ in out] == [key for key, _, _ in jobs]
-    assert len(sizes) > 2 and sum(sizes) == len(jobs)
+    assert len(batches) > 2 and sum(map(len, batches)) == len(jobs)
+    for batch, following in zip(batches, batches[1:] + [[]]):
+        assert len(batch) == 1 or back_pointer_cells(batch) <= 1200
+        if following:
+            assert back_pointer_cells(batch + following[:1]) > 1200
     for (key, emissions, tokens), (_, result) in zip(jobs, out):
         if isinstance(result, AlignmentError):
             with pytest.raises(type(result)):
                 force_align(emissions, tokens)
         else:
             assert result == force_align(emissions, tokens)
+
+
+@pytest.mark.parametrize("spare, sizes", [(0, [3]), (-1, [2, 1])])
+def test_align_grouped_budget_counts_each_row_at_its_own_width(monkeypatch, spare, sizes):
+    from voxkit import aligner
+    rng = np.random.default_rng(5)
+    items = [(emissions_from_logits(rng.normal(size=(20, 4))), tokens)
+             for tokens in (["abcabc"], ["ab"], ["c", "a"])]
+    batches = []
+
+    def counting_batch(items, **kwargs):
+        batches.append(len(items))
+        return align_batch(items, **kwargs)
+
+    monkeypatch.setattr(aligner, "GROUP_CELLS", back_pointer_cells(items) + spare)
+    monkeypatch.setattr(aligner, "align_batch", counting_batch)
+    out = list(aligner.align_grouped((i, *item) for i, item in enumerate(items)))
+    assert batches == sizes
+    assert [result for _, result in out] == [force_align(*item) for item in items]

@@ -44,9 +44,35 @@ def outcome(emissions, tokens, score_mode):
         return exc
 
 
+def fixed_member(token, logits):
+    return aligner_tests.emissions_from_logits(logits), [token]
+
+
+# A long narrow trellis that scores high ahead of a shorter, wider one whose
+# every path ties low: a row that read its neighbour's states would score
+# higher. Then equal frame counts and a one-frame member.
+NARROW_AHEAD_OF_WIDE = [
+    fixed_member("a", np.tile([8.0, 0.0, 0.0, 0.0], (30, 1))),
+    fixed_member("abcab", np.zeros((25, 4))),
+    fixed_member("cc", np.random.default_rng(4).normal(size=(25, 4))),
+    fixed_member("b", np.random.default_rng(3).normal(size=(1, 4))),
+]
+
+# One wide trellis ahead of narrow ones, so the rows differ in length and
+# each starts at its own offset: a row read at another offset would take
+# its neighbours' states. Then equal frame counts and a one-frame member.
+WIDE_AHEAD_OF_NARROW = [
+    fixed_member("abcabcab", np.random.default_rng(5).normal(size=(30, 4))),
+    fixed_member("a", np.tile([0.0, 8.0, 0.0, 0.0], (12, 1))),
+    fixed_member("cb", np.random.default_rng(6).normal(size=(12, 4))),
+    fixed_member("b", np.random.default_rng(7).normal(size=(1, 4))),
+]
+
+
 @settings(max_examples=100, deadline=None)
 @given(items=st.lists(utterance(), min_size=1, max_size=8),
        score_mode=st.sampled_from(["geometric", "arithmetic"]))
+@example(items=WIDE_AHEAD_OF_NARROW, score_mode="geometric")
 def test_group_equals_each_alone(items, score_mode):
     together = align_batch(items, score_mode=score_mode)
     assert len(together) == len(items)
@@ -116,24 +142,10 @@ def feasible_group(draw):
     return items
 
 
-def fixed_member(token, logits):
-    return aligner_tests.emissions_from_logits(logits), [token]
-
-
-# A long narrow trellis that scores high ahead of a shorter, wider one whose
-# every path ties low: a row that read its neighbour's states would score
-# higher. Then equal frame counts and a one-frame member.
-NARROW_AHEAD_OF_WIDE = [
-    fixed_member("a", np.tile([8.0, 0.0, 0.0, 0.0], (30, 1))),
-    fixed_member("abcab", np.zeros((25, 4))),
-    fixed_member("cc", np.random.default_rng(4).normal(size=(25, 4))),
-    fixed_member("b", np.random.default_rng(3).normal(size=(1, 4))),
-]
-
-
 @settings(max_examples=150, deadline=None)
 @given(items=feasible_group())
 @example(items=NARROW_AHEAD_OF_WIDE)
+@example(items=WIDE_AHEAD_OF_NARROW)
 def test_group_matches_reference_trellis(items):
     for (emissions, tokens), got in zip(items, align_batch(items)):
         labels = [emissions.vocab.index(ch) for token in tokens for ch in token]

@@ -210,3 +210,5 @@ def test_stats_empty_input():
     stats = compute_stats([])
     assert stats.rows == ()
     assert stats.total.utterances == 0
+    total = stats_to_json_dict(stats)["total"]
+    assert type(total["total_duration_s"]) is float
