@@ -1,12 +1,22 @@
-"""Minimal mono WAV I/O for stitching fixtures (16-bit PCM and float32)."""
+"""Minimal mono WAV I/O for stitching fixtures (16-bit PCM and float32).
+
+A small RIFF codec on ``struct`` and NumPy; it writes the bytes SciPy's
+``wavfile.write`` writes for these formats.
+"""
 
 from __future__ import annotations
 
+import struct
 from pathlib import Path
 
 import numpy as np
 
 from .manifest import atomic_write
+
+_PCM, _FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
+# An extensible subformat GUID is its format tag followed by this tail.
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+_SAMPLE_TYPES = {(_PCM, 16): "<i2", (_FLOAT, 32): "<f4"}
 
 
 class AudioFormatError(Exception):
@@ -16,18 +26,45 @@ class AudioFormatError(Exception):
 def read_wav(path: str | Path) -> tuple[np.ndarray, int]:
     """Read a mono WAV file. Returns (samples, sample_rate).
 
-    int16 and float32 data come back with their dtype preserved.
+    int16 and float32 data come back as a writable native-order copy.
     """
-    from scipy.io import wavfile  # deferred: scipy.io dominates import time
-
-    rate, samples = wavfile.read(str(path))
-    if samples.ndim != 1:
+    data = Path(path).read_bytes()
+    if data[:4] != b"RIFF" or data[8:12] != b"WAVE":
+        raise AudioFormatError(f"{path}: not a RIFF WAVE file")
+    chunks, pos = {}, 12  # chunk id -> (offset, size), up to the data chunk
+    while b"data" not in chunks and pos + 8 <= len(data):
+        chunk, size = struct.unpack_from("<4sI", data, pos)
+        if pos + 8 + size > len(data):
+            raise AudioFormatError(f"{path}: truncated "
+                                   f"{chunk.decode('latin-1')!r} chunk")
+        chunks[chunk] = (pos + 8, size)
+        pos += 8 + size + (size & 1)
+    if b"data" not in chunks or b"fmt " not in chunks:
+        raise AudioFormatError(f"{path}: no fmt chunk before a data chunk")
+    pos, size = chunks[b"fmt "]
+    if size < 16:
+        raise AudioFormatError(f"{path}: truncated 'fmt ' chunk")
+    tag, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", data, pos)
+    if tag == _EXTENSIBLE and size >= 40:
+        subformat, tail = struct.unpack_from("<I12s", data, pos + 24)
+        tag = subformat if tail == _GUID_TAIL else tag
+    if channels != 1:
         raise AudioFormatError(f"{path}: expected mono audio, got "
-                               f"{samples.shape[1]} channels")
-    if samples.dtype not in (np.dtype(np.int16), np.dtype(np.float32)):
+                               f"{channels} channels")
+    sample_type = _SAMPLE_TYPES.get((tag, bits))
+    if sample_type is None:
+        kind = {_PCM: "uint" if bits == 8 else "int", _FLOAT: "float"}.get(tag)
+        name = f"{kind}{bits}" if kind else f"with format tag {tag:#06x}"
         raise AudioFormatError(f"{path}: unsupported sample format "
-                               f"{samples.dtype}; use int16 or float32")
-    return samples, int(rate)
+                               f"{name}; use int16 or float32")
+    if rate == 0:
+        raise AudioFormatError(f"{path}: sample rate is 0")
+    pos, size = chunks[b"data"]
+    count, rest = divmod(size, np.dtype(sample_type).itemsize)
+    if rest:
+        raise AudioFormatError(f"{path}: data chunk of {size} bytes is not "
+                               f"a whole number of samples")
+    return np.frombuffer(data, sample_type, count, pos).astype(sample_type[1:]), rate
 
 
 def write_wav(path: str | Path, samples: np.ndarray, sample_rate: int) -> None:
@@ -35,16 +72,27 @@ def write_wav(path: str | Path, samples: np.ndarray, sample_rate: int) -> None:
 
     The file is replaced atomically: a failed write leaves the old one.
     """
-    from scipy.io import wavfile
-
     samples = np.asarray(samples)
     if samples.ndim != 1:
         raise AudioFormatError(f"expected mono audio, got shape {samples.shape}")
     if samples.dtype == np.int16:
-        out = samples
+        tag, sample_type = _PCM, "<i2"
     elif samples.dtype in (np.dtype(np.float32), np.dtype(np.float64)):
-        out = samples.astype(np.float32)
+        tag, sample_type = _FLOAT, "<f4"
     else:
         raise AudioFormatError(f"unsupported sample dtype {samples.dtype}")
+    out = np.ascontiguousarray(samples, dtype=sample_type)
+    rate, width, size = int(sample_rate), out.itemsize, out.nbytes
+    if not 1 <= rate < 2**32 // width:
+        raise AudioFormatError(f"sample rate {sample_rate} does not fit a WAV header")
+    if size > 2**32 - 64:
+        raise AudioFormatError(f"{len(out)} samples do not fit a WAV file")
+    chunks = b"fmt " + struct.pack("<IHHIIHH", 16 + 2 * (tag == _FLOAT), tag, 1,
+                                   rate, rate * width, width, 8 * width)
+    if tag == _FLOAT:  # SciPy's float layout: cbSize 0, then a fact chunk
+        chunks += struct.pack("<H4sII", 0, b"fact", 4, len(out))
+    chunks += b"data" + struct.pack("<I", size)
     with atomic_write(path) as fh:
-        wavfile.write(fh.buffer, int(sample_rate), out)
+        fh.buffer.write(b"RIFF" + struct.pack("<I", 4 + len(chunks) + size)
+                        + b"WAVE" + chunks)
+        fh.buffer.write(memoryview(out))

@@ -313,6 +313,9 @@ def stitch(segments: Sequence[np.ndarray], sample_rate: int, fade_s: float,
         if len(overlaps_s) != n_boundaries:
             raise StitchError(f"{n_boundaries} boundaries but "
                               f"{len(overlaps_s)} overlap values")
+    if not (np.isfinite(fade_s) and fade_s >= 0 and np.isfinite(overlaps_s).all()):
+        raise StitchError(f"fade_s must be finite and >= 0 and every overlap finite, "
+                          f"got fade_s={fade_s}, overlap_s={overlaps_s}")
 
     n_fade = max(1, round(fade_s * sample_rate))
     overlaps = [round(v * sample_rate) for v in overlaps_s]

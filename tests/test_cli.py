@@ -1,8 +1,10 @@
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -728,30 +730,78 @@ def test_stitch_rate_mismatch(tmp_path):
 
 
 def test_write_wav_failure_keeps_old_file(tmp_path, monkeypatch):
-    from scipy.io import wavfile
+    import voxkit.audio
+
     path = tmp_path / "out.wav"
     write_wav(path, np.zeros(100, dtype=np.int16), 8000)
     before = path.read_bytes()
 
-    real_write = wavfile.write
+    real_atomic_write = voxkit.audio.atomic_write
 
-    def broken(target, rate, data):
-        real_write(target, rate, data[:10])
-        raise OSError("disk full")
+    class DiskFullAfterHeader:
+        """A handle whose first write (the header) lands and whose second fails."""
 
-    monkeypatch.setattr(wavfile, "write", broken)
-    with pytest.raises(OSError):
+        def __init__(self, buffer):
+            self.buffer, self.raw, self.writes = self, buffer, 0
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes > 1:
+                raise OSError("disk full")
+            return self.raw.write(data)
+
+    @contextlib.contextmanager
+    def broken(target):
+        with real_atomic_write(target) as fh:
+            yield DiskFullAfterHeader(fh.buffer)
+
+    monkeypatch.setattr(voxkit.audio, "atomic_write", broken)
+    with pytest.raises(OSError, match="disk full"):
         write_wav(path, np.ones(50, dtype=np.int16), 8000)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["out.wav"]
 
 
+@pytest.mark.parametrize("damage", [
+    lambda wav: b"not a wav file at all",
+    lambda wav: wav[:30],
+    lambda wav: wav[:-2],
+], ids=["junk", "cut-in-fmt", "cut-in-data"])
+def test_stitch_malformed_wav_is_a_data_error(tmp_path, capsys, damage):
+    good, bad = tmp_path / "good.wav", tmp_path / "bad.wav"
+    write_wav(good, np.zeros(4000, dtype=np.int16), 8000)
+    bad.write_bytes(damage(good.read_bytes()))
+    code = main(["stitch", "--inputs", str(good), str(bad),
+                 "-o", str(tmp_path / "o.wav"), "--overlap-s", "0.1"])
+    assert code == 2
+    assert f"data error: {bad}: " in capsys.readouterr().err
+    assert not (tmp_path / "o.wav").exists()
+
+
 # ---------------------------------------------------------------- start-up
 
-def test_import_does_not_load_scipy_io():
-    # scipy.io is most of the import cost; only WAV reads and writes need it.
-    code = "import sys, voxkit; print('scipy.io' in sys.modules)"
+def test_runs_without_scipy(tmp_path):
+    # NumPy is the one runtime dependency: with SciPy blocked, voxkit still
+    # imports, writes and reads both WAV formats, and stitches.
+    code = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None
+        import numpy as np
+        import voxkit
+        from voxkit.cli import main
+        out = sys.argv[1]
+        for dtype in ("int16", "float32"):
+            samples = np.arange(-200, 200).astype(dtype)
+            voxkit.write_wav(f"{out}/{dtype}.wav", samples, 8000)
+            back, rate = voxkit.read_wav(f"{out}/{dtype}.wav")
+            assert rate == 8000 and back.dtype == dtype
+            assert np.array_equal(back, samples)
+        wav = f"{out}/int16.wav"
+        sys.exit(main(["stitch", "--inputs", wav, wav, "-o", f"{out}/joined.wav",
+                       "--overlap-s", "0.01", "--fade-s", "0.001"]))
+    """)
     env = dict(os.environ, PYTHONPATH=str(Path(voxkit.__file__).parents[1]))
-    result = subprocess.run([sys.executable, "-c", code], check=True,
+    result = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                             capture_output=True, text=True, env=env)
-    assert result.stdout.strip() == "False"
+    assert result.returncode == 0, result.stderr
+    assert len(read_wav(tmp_path / "joined.wav")[0]) == 2 * 400 - 80

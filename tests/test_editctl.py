@@ -347,6 +347,14 @@ def test_stitch_validation():
         stitch([a, np.zeros(10, dtype=np.int16)], 1000, 0.001, 0.05)
     with pytest.raises(StitchError):
         stitch([a, a.astype(np.float32)], 1000, 0.001, 0.01)
+    # Non-finite or negative durations are refused, not rounded or overflowed.
+    for fade_s, overlap_s in [(float("nan"), 0.05), (float("inf"), 0.05),
+                              (-0.001, 0.05), (0.001, float("nan")),
+                              (0.001, float("inf")), (0.001, [float("-inf")])]:
+        with pytest.raises(StitchError):
+            stitch([a, a], 1000, fade_s, overlap_s)
+    # A fade of 0 keeps its one-sample fade.
+    assert stitch([a, a], 1000, 0.0, 0.05)[1].fade_samples == 1
 
 
 def test_stitch_per_boundary_overlaps():
