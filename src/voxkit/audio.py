@@ -1,8 +1,5 @@
-"""Minimal mono WAV I/O for stitching fixtures (16-bit PCM and float32).
-
-A small RIFF codec on ``struct`` and NumPy; it writes the bytes SciPy's
-``wavfile.write`` writes for these formats.
-"""
+"""Minimal mono WAV I/O (16-bit PCM and float32): a RIFF codec on ``struct``
+and NumPy that writes the bytes SciPy's ``wavfile.write`` writes."""
 
 from __future__ import annotations
 
@@ -26,45 +23,47 @@ class AudioFormatError(Exception):
 def read_wav(path: str | Path) -> tuple[np.ndarray, int]:
     """Read a mono WAV file. Returns (samples, sample_rate).
 
-    int16 and float32 data come back as a writable native-order copy.
+    int16 and float32 data come back as a writable native-order array.
     """
-    data = Path(path).read_bytes()
-    if data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise AudioFormatError(f"{path}: not a RIFF WAVE file")
-    chunks, pos = {}, 12  # chunk id -> (offset, size), up to the data chunk
-    while b"data" not in chunks and pos + 8 <= len(data):
-        chunk, size = struct.unpack_from("<4sI", data, pos)
-        if pos + 8 + size > len(data):
-            raise AudioFormatError(f"{path}: truncated "
-                                   f"{chunk.decode('latin-1')!r} chunk")
-        chunks[chunk] = (pos + 8, size)
-        pos += 8 + size + (size & 1)
-    if b"data" not in chunks or b"fmt " not in chunks:
-        raise AudioFormatError(f"{path}: no fmt chunk before a data chunk")
-    pos, size = chunks[b"fmt "]
-    if size < 16:
-        raise AudioFormatError(f"{path}: truncated 'fmt ' chunk")
-    tag, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", data, pos)
-    if tag == _EXTENSIBLE and size >= 40:
-        subformat, tail = struct.unpack_from("<I12s", data, pos + 24)
-        tag = subformat if tail == _GUID_TAIL else tag
-    if channels != 1:
-        raise AudioFormatError(f"{path}: expected mono audio, got "
-                               f"{channels} channels")
-    sample_type = _SAMPLE_TYPES.get((tag, bits))
-    if sample_type is None:
-        kind = {_PCM: "uint" if bits == 8 else "int", _FLOAT: "float"}.get(tag)
-        name = f"{kind}{bits}" if kind else f"with format tag {tag:#06x}"
-        raise AudioFormatError(f"{path}: unsupported sample format "
-                               f"{name}; use int16 or float32")
-    if rate == 0:
-        raise AudioFormatError(f"{path}: sample rate is 0")
-    pos, size = chunks[b"data"]
-    count, rest = divmod(size, np.dtype(sample_type).itemsize)
-    if rest:
-        raise AudioFormatError(f"{path}: data chunk of {size} bytes is not "
-                               f"a whole number of samples")
-    return np.frombuffer(data, sample_type, count, pos).astype(sample_type[1:]), rate
+    with open(path, "rb") as fh:
+        riff = fh.read(12)
+        if riff[:4] != b"RIFF" or riff[8:] != b"WAVE":
+            raise AudioFormatError(f"{path}: not a RIFF WAVE file")
+        fmt = None
+        while (head := fh.read(8))[:4] != b"data" and len(head) == 8:
+            chunk, size = struct.unpack("<4sI", head)
+            body = fh.read(size + (size & 1))
+            if len(body) < size:
+                raise AudioFormatError(f"{path}: truncated "
+                                       f"{chunk.decode('latin-1')!r} chunk")
+            if chunk == b"fmt ":
+                fmt = body[:size]
+        if fmt is None or len(fmt) < 16 or len(head) < 8:
+            raise AudioFormatError(f"{path}: no whole fmt chunk before a data chunk")
+        tag, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt)
+        if tag == _EXTENSIBLE and len(fmt) >= 40:
+            subformat, tail = struct.unpack_from("<I12s", fmt, 24)
+            tag = subformat if tail == _GUID_TAIL else tag
+        if channels != 1:
+            raise AudioFormatError(f"{path}: expected mono audio, got "
+                                   f"{channels} channels")
+        sample_type = _SAMPLE_TYPES.get((tag, bits))
+        if sample_type is None:
+            kind = {_PCM: "uint" if bits == 8 else "int", _FLOAT: "float"}.get(tag)
+            name = f"{kind}{bits}" if kind else f"with format tag {tag:#06x}"
+            raise AudioFormatError(f"{path}: unsupported sample format "
+                                   f"{name}; use int16 or float32")
+        if rate == 0:
+            raise AudioFormatError(f"{path}: sample rate is 0")
+        size = struct.unpack("<I", head[4:])[0]
+        count, rest = divmod(size, np.dtype(sample_type).itemsize)
+        if rest:
+            raise AudioFormatError(f"{path}: data chunk of {size} bytes is not "
+                                   f"a whole number of samples")
+        samples = np.fromfile(fh, sample_type, count)  # no bytes copy in between
+    if len(samples) < count:
+        raise AudioFormatError(f"{path}: truncated 'data' chunk")
+    return samples.astype(sample_type[1:], copy=False), rate
 
 
 def write_wav(path: str | Path, samples: np.ndarray, sample_rate: int) -> None:

@@ -74,11 +74,11 @@ def test_read_wav_skips_chunks_and_reads_extensible(tmp_path, dtype, tag, bits):
     (b"this is not a wav file at all", "not a RIFF WAVE file"),
     (riff(fmt(), chunk(b"data", bytes(4)), form=b"RIFX"), "not a RIFF WAVE file"),
     (riff(chunk(b"fmt ", bytes(14)), chunk(b"data", bytes(4))),
-     "truncated 'fmt ' chunk"),
+     "no whole fmt chunk before a data chunk"),
     (riff(fmt(), chunk(b"data", bytes(4)))[:30], "truncated 'fmt ' chunk"),
     (riff(fmt(), chunk(b"data", bytes(8)))[:-2], "truncated 'data' chunk"),
-    (riff(chunk(b"data", bytes(4)), fmt()), "no fmt chunk before a data chunk"),
-    (riff(fmt()), "no fmt chunk before a data chunk"),
+    (riff(chunk(b"data", bytes(4)), fmt()), "no whole fmt chunk before a data chunk"),
+    (riff(fmt()), "no whole fmt chunk before a data chunk"),
     (riff(fmt(channels=2), chunk(b"data", bytes(8))),
      "expected mono audio, got 2 channels"),
     (riff(fmt(bits=8), chunk(b"data", bytes(4))),
