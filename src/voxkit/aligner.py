@@ -610,7 +610,16 @@ def _read_emit_header(fh, name: str) -> tuple[float, tuple[str, ...]]:
 
 
 def find_emissions(directory: str | Path, key: str) -> Path | None:
-    """Locate the emission sidecar for an utterance key, if present."""
+    """Locate the emission sidecar for an utterance key, if present.
+
+    A key may name a file in a subdirectory (``spk1/utt1``). A key that is
+    absolute or holds a ``..`` part would resolve outside ``directory``, so
+    it raises AlignmentError.
+    """
+    key_path = Path(key)
+    if key_path.is_absolute() or ".." in key_path.parts:
+        raise AlignmentError(f"key {key!r} is absolute or holds '..', so it "
+                             f"would resolve outside {directory}")
     directory = Path(directory)
     for suffix in (_NPZ_SUFFIX, _TEXT_SUFFIX):
         candidate = directory / f"{key}{suffix}"

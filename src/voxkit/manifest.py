@@ -39,10 +39,6 @@ _FIELD_ORDER = (
     "source",
 )
 
-# Fields a record cannot exist without. The remaining canonical fields are
-# filled by later pipeline stages and default to empty when absent on read.
-_REQUIRED_FIELDS = ("key", "language", "audio_ref", "duration_s", "raw_text")
-
 _WORD_FIELDS = ("word", "start_s", "end_s", "score")
 
 # The exact types a JSON number decodes to; bool, a subclass of int, is not one.
@@ -220,7 +216,8 @@ def record_from_json_dict(obj: dict[str, Any], line_no: int | None = None) -> Ut
     key = _check_str(obj, "key", line_no)
     language = _check_str(obj, "language", line_no)
     audio_ref = _check_str(obj, "audio_ref", line_no)
-    duration_s = _check_number(obj, "duration_s", line_no)
+    # Rounded on the way in, so a record is judged by the value it is written with.
+    duration_s = quantize_time(_check_number(obj, "duration_s", line_no))
     raw_text = _check_str(obj, "raw_text", line_no)
     normalized_text = _check_str(obj, "normalized_text", line_no, default="")
     source = _check_str(obj, "source", line_no, default="")
@@ -350,7 +347,8 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
     ``path`` before is left as it was. Nothing is fsynced. A symlink is
     followed, so its target is replaced and the link kept; a path that
     exists but is not a regular file (a pipe, or a device such as
-    /dev/stdout) cannot be replaced and is written directly.
+    /dev/stdout) cannot be replaced and is written directly. A missing
+    parent directory is created; no other voxkit code makes one.
     """
     path = Path(path)
     try:
@@ -366,7 +364,13 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
         return
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
+        fh = open(tmp, "x", encoding="utf-8")
+    except FileNotFoundError:
+        # Only now, so writing into an existing directory costs no extra call.
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -382,11 +386,7 @@ def write_manifest(records: Iterable[UtteranceRecord], path: str | Path) -> int:
     is replaced atomically, so a failed write leaves the old one in place.
     A record is validated unless it already passed validate_record.
     """
-    return _write_records(list(records), Path(path), make_parent=True)
-
-
-def _write_records(records: list[UtteranceRecord], path: Path, make_parent: bool) -> int:
-    """write_manifest; with make_parent false the directory must exist."""
+    records = list(records)
     seen: set[str] = set()
     for record in records:
         if not record._validated:
@@ -394,8 +394,6 @@ def _write_records(records: list[UtteranceRecord], path: Path, make_parent: bool
         if record.key in seen:
             raise DuplicateKeyError("duplicate key", key=record.key)
         seen.add(record.key)
-    if make_parent:
-        path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_write(path) as fh:
         for record in records:
             fh.write(record_to_line(record))
@@ -436,7 +434,8 @@ class SourceAdapterSpec:
     field_map: dict[str, str] = field(default_factory=dict)
     defaults: dict[str, Any] = field(default_factory=dict)
 
-    # Record fields an adapter is allowed to populate.
+    # The fields a record cannot exist without, which an adapter populates.
+    # The remaining canonical fields are filled by later pipeline stages.
     _ADAPTABLE = ("key", "language", "audio_ref", "duration_s", "raw_text")
 
 
@@ -469,7 +468,7 @@ def adapt(source_row: dict[str, Any], spec: SourceAdapterSpec,
         if not isinstance(values[name], str):
             values[name] = str(values[name])
     try:
-        values["duration_s"] = float(values["duration_s"])
+        values["duration_s"] = quantize_time(values["duration_s"])
     except (TypeError, ValueError) as exc:
         raise AdapterError(f"duration_s not numeric: {values['duration_s']!r}",
                            line_no=line_no, field_name="duration_s",

@@ -19,9 +19,9 @@ from .aligner import (SCORE_MODES, AlignmentError, AlignmentResult,
                       find_emissions, load_emissions)
 from .curate import compute_stats, stats_to_json_dict
 from .manifest import (ManifestError, SchemaError, SourceAdapterSpec,
-                       UtteranceRecord, _write_records, read_manifest,
-                       validate_record, with_words, write_json,
-                       write_json_lines, write_manifest)
+                       UtteranceRecord, read_manifest, validate_record,
+                       with_words, write_json, write_json_lines,
+                       write_manifest)
 from .quality import FilterConfig, QualityError, run_chain
 from .textnorm import (EmptyTextError, LanguageProfile, ProfileError,
                        UnmappableCharacterError, load_profiles, normalize,
@@ -110,11 +110,9 @@ def write_shards(records: Sequence[UtteranceRecord], assignment: ShardAssignment
                  out_dir: Path, prefix: str = "shard_") -> None:
     """Write each shard's records, sorted by key, to out_dir/{prefix}NNN.jsonl."""
     by_key = {r.key: r for r in records}
-    out_dir.mkdir(parents=True, exist_ok=True)
     for index in range(assignment.n_shards):
         keys = assignment.keys_for(index)
-        _write_records([by_key[k] for k in keys],
-                       out_dir / f"{prefix}{index:03d}.jsonl", make_parent=False)
+        write_manifest([by_key[k] for k in keys], out_dir / f"{prefix}{index:03d}.jsonl")
 
 
 # ------------------------------------------------------------ configuration
@@ -170,6 +168,9 @@ class PipelineConfig:
         if self.emissions_dir is not None and not self.emissions_dir.is_dir():
             raise ConfigError(f"emissions_dir {self.emissions_dir} is not a "
                               f"directory", key="emissions_dir")
+        if self.stages != tuple(sorted(self.stages, key=STAGES.index)):
+            raise ConfigError(f"stages must run in the order {' '.join(STAGES)}, "
+                              f"got {' '.join(self.stages)}", key="stages")
         if self.shard_count < 1:
             raise ConfigError(f"shard_count must be >= 1, got {self.shard_count}",
                               key="shard_count")
@@ -392,7 +393,10 @@ def _stage_align(records: list[UtteranceRecord], config: PipelineConfig
 
 def _emissions_for(record: UtteranceRecord,
                    config: PipelineConfig) -> EmissionMatrix | Rejection:
-    path = find_emissions(config.emissions_dir, record.key)
+    try:
+        path = find_emissions(config.emissions_dir, record.key)
+    except AlignmentError as exc:
+        return Rejection(record.key, "align", ("missing_emissions",), exc)
     if path is None:
         return Rejection(record.key, "align", ("missing_emissions",), AlignmentError(
             f"no emissions for key {record.key!r} under {config.emissions_dir}"))
@@ -492,7 +496,6 @@ def run_pipeline(config: PipelineConfig,
         if progress is not None:
             progress(message)
 
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     records = list(read_manifest(config.input_path, config.adapter))
     n_input = len(records)
     note(f"ingest: {n_input} records")

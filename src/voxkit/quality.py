@@ -116,12 +116,12 @@ class FilterConfig:
 @dataclass(frozen=True)
 class FilterVerdict:
     key: str
-    passed: bool
     reasons: tuple[str, ...]
 
-    def __post_init__(self):
-        if self.passed != (not self.reasons):
-            raise QualityError("verdict passes exactly when no reason fired")
+    @property
+    def passed(self) -> bool:
+        """A record passes exactly when no reason fired."""
+        return not self.reasons
 
 
 def filter_confidence(record: UtteranceRecord, config: FilterConfig) -> list[str]:
@@ -180,17 +180,15 @@ def filter_language(record: UtteranceRecord, config: FilterConfig) -> list[str]:
     return []
 
 
+# In REASON_ORDER, one reason at most each: run_chain's order relies on it.
 _FRAGMENTS = (filter_confidence, filter_duration, filter_gaps, filter_rate,
               filter_language)
 
 
 def run_chain(record: UtteranceRecord, config: FilterConfig) -> FilterVerdict:
     """Run every filter fragment and accumulate reasons in canonical order."""
-    reasons: set[str] = set()
-    for fragment in _FRAGMENTS:
-        reasons.update(fragment(record, config))
-    ordered = tuple(r for r in REASON_ORDER if r in reasons)
-    return FilterVerdict(key=record.key, passed=not ordered, reasons=ordered)
+    return FilterVerdict(record.key, tuple(
+        reason for fragment in _FRAGMENTS for reason in fragment(record, config)))
 
 
 def fit_ratio_bounds(records: Iterable[UtteranceRecord], language: str,

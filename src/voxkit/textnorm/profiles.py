@@ -7,7 +7,8 @@ VOXKIT_PROFILES environment variable, may hold fewer or more.
 
 File keys:
     language      two-letter code, must match the file name
-    rules         normalization rule set id (selects number spelling)
+    rules         normalization rule set id: the language whose number
+                  spelling to use, one of the ten supported
     min_ratio     lower bound on characters per second
     max_ratio     upper bound on characters per second
     ranges        allowed code point ranges, hex, e.g. "0061-007A 00C0"
@@ -22,6 +23,8 @@ from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
+
+from .numbers import _RENDERERS
 
 SUPPORTED_LANGUAGES = ("de", "en", "es", "fr", "id", "it", "pt", "ru", "vi", "zh")
 
@@ -44,6 +47,10 @@ class LanguageProfile:
     punctuation: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
+        if self.rules not in _RENDERERS:
+            raise ProfileError(
+                f"{self.language}: rules {self.rules!r} names no number "
+                f"speller; known: {', '.join(sorted(_RENDERERS))}")
         if self.min_ratio < 0 or self.max_ratio <= self.min_ratio:
             raise ProfileError(
                 f"{self.language}: need 0 <= min_ratio < max_ratio, "

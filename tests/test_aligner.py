@@ -434,6 +434,19 @@ def test_find_emissions_prefers_npz(tmp_path):
     assert find_emissions(tmp_path, "k2") is None
 
 
+def test_find_emissions_stays_inside_its_directory(tmp_path):
+    emissions = peaked_emissions([1], vocab_size=2)
+    save_emissions(emissions, tmp_path / "outside" / "secret.npz")
+    save_emissions(emissions, tmp_path / "em" / "spk1" / "utt1.npz")
+    directory = tmp_path / "em"
+    # A key may name a file in a subdirectory.
+    assert find_emissions(directory, "spk1/utt1") == directory / "spk1" / "utt1.npz"
+    for key in (str(tmp_path / "outside" / "secret"), "../outside/secret",
+                "spk1/../../outside/secret"):
+        with pytest.raises(AlignmentError, match="absolute or holds '..'"):
+            find_emissions(directory, key)
+
+
 def reference_trellis(log_probs, labels):
     """Plain-loop Viterbi in Python floats and ints, documented tie order.
 

@@ -143,6 +143,18 @@ def test_ingest_errors_carry_line_numbers(tmp_path, capsys):
         assert fragment in capsys.readouterr().err
 
 
+def test_ingest_refuses_a_duration_that_rounds_to_zero(tmp_path, capsys):
+    # 0.0004 s would be written as 0.0, which no reader accepts.
+    src = tmp_path / "rows.jsonl"
+    src.write_text(json.dumps({**rec("a").to_json_dict(), "duration_s": 0.0004,
+                               "words": [], "avg_confidence": None}) + "\n",
+                   encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert main(["ingest", "-i", str(src), "-o", str(out)]) == 2
+    assert "duration_s must be finite and positive, got 0.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ingest_map_without_source(tmp_path):
     src = manifest_of(tmp_path, [rec("a")])
     assert main(["ingest", "-i", str(src), "-o",
@@ -221,6 +233,22 @@ def test_profiles_directory_is_the_language_set(tmp_path, capsys):
     assert [r["key"] for r in read_lines(out)] == ["en1"]
     assert read_lines(rejects) == [
         {"key": "de1", "stage": "filter", "reasons": ["bad_language"]}]
+
+
+def test_profile_without_a_number_speller_is_refused_on_load(tmp_path, capsys):
+    profiles = tmp_path / "profiles"
+    profiles.mkdir()
+    (profiles / "en.profile").write_text(
+        "language = en\nrules = default\nmin_ratio = 1.0\nmax_ratio = 30.0\n"
+        "ranges = 0030-0039 0061-007A\n", encoding="utf-8")
+    src = manifest_of(tmp_path, [rec("a", text="I have 3 cats", confidence=None),
+                                 rec("b", text="no digits", confidence=None)])
+    out = tmp_path / "out.jsonl"
+    assert main(["normalize", "-i", str(src), "-o", str(out), "--profiles",
+                 str(profiles), "--skip-failed"]) == 2
+    assert ("data error: en: rules 'default' names no number speller"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_empty_or_missing_profiles_directory(tmp_path, capsys):
@@ -727,6 +755,55 @@ def test_stitch_rate_mismatch(tmp_path):
                  str(tmp_path / "b.wav"), "-o", str(tmp_path / "o.wav"),
                  "--overlap-s", "0.1"])
     assert code == 3
+
+
+def _filter_into_new_directories(tmp_path):
+    src = manifest_of(tmp_path, [rec("keep"), rec("dim", confidence=0.1)])
+    out, rejects = tmp_path / "new1" / "clean.jsonl", tmp_path / "new2" / "rej.jsonl"
+    assert main(["filter", "-i", str(src), "-o", str(out),
+                 "--rejects", str(rejects)]) == 0
+    return out, rejects
+
+
+def _curate_eval_into_new_directories(tmp_path):
+    text = "one two three four five six seven eight"
+    src = manifest_of(tmp_path, [rec("tail", duration_s=6.0, text=text,
+                                     words=words_for(text, 4.0))])
+    out, trims = tmp_path / "new1" / "eval.jsonl", tmp_path / "new2" / "a" / "trims.jsonl"
+    assert main(["curate-eval", "-i", str(src), "-o", str(out),
+                 "--trims", str(trims)]) == 0
+    return out, trims
+
+
+def _stitch_into_new_directories(tmp_path):
+    a = np.zeros(4000, dtype=np.int16)
+    write_wav(tmp_path / "a.wav", a, 8000)
+    out, plan = tmp_path / "new1" / "joined.wav", tmp_path / "new2" / "plan.json"
+    assert main(["stitch", "--inputs", str(tmp_path / "a.wav"), str(tmp_path / "a.wav"),
+                 "-o", str(out), "--overlap-s", "0.1", "--plan", str(plan)]) == 0
+    return out, plan
+
+
+def _save_emissions_into_new_directories(tmp_path):
+    paths = tmp_path / "new1" / "e.npz", tmp_path / "new2" / "e.emit"
+    for path in paths:
+        save_emissions(peaked_emissions(("hi",), 1.0), path)
+    return paths
+
+
+def _write_wav_into_a_new_directory(tmp_path):
+    path = tmp_path / "new1" / "a" / "x.wav"
+    write_wav(path, np.zeros(10, dtype=np.float32), 16000)
+    return (path,)
+
+
+@pytest.mark.parametrize("write", [
+    _filter_into_new_directories, _curate_eval_into_new_directories,
+    _stitch_into_new_directories, _save_emissions_into_new_directories,
+    _write_wav_into_a_new_directory])
+def test_writers_create_missing_directories(tmp_path, write):
+    for path in write(tmp_path):
+        assert path.is_file() and path.stat().st_size > 0
 
 
 def test_write_wav_failure_keeps_old_file(tmp_path, monkeypatch):

@@ -343,8 +343,11 @@ def test_stitch_validation():
         stitch([], 1000, 0.01, 0.05)
     with pytest.raises(StitchError):
         stitch([a, a], 1000, fade_s=0.2, overlap_s=0.05)  # fade > overlap
-    with pytest.raises(StitchError):
+    # A segment shorter than one overlap fails the one check on its overlaps.
+    with pytest.raises(StitchError, match="segment 1 is shorter than its combined"):
         stitch([a, np.zeros(10, dtype=np.int16)], 1000, 0.001, 0.05)
+    with pytest.raises(StitchError, match="segment 0 is shorter than its combined"):
+        stitch([np.zeros(10, dtype=np.int16), a], 1000, 0.001, 0.05)
     with pytest.raises(StitchError):
         stitch([a, a.astype(np.float32)], 1000, 0.001, 0.01)
     # Non-finite or negative durations are refused, not rounded or overflowed.

@@ -416,3 +416,35 @@ def test_read_write_read_round_trip(objs):
         write_manifest(again, second)
         assert again == records
         assert second.read_bytes() == first.read_bytes()
+
+
+def test_duration_is_rounded_where_it_enters():
+    # A record is judged by the duration it is written with, so a rerun on
+    # voxkit's own output agrees with the run that wrote it.
+    line = make_record().to_json_dict()
+    spec = SourceAdapterSpec(source="web", field_map={"duration_s": "len"},
+                             defaults={"key": "k", "language": "en",
+                                       "audio_ref": "a.wav", "raw_text": "hi"})
+    for raw, rounded in ((0.4996, 0.5), (30.0004, 30.0), (1.2345, 1.234)):
+        assert record_from_json_dict({**line, "duration_s": raw}).duration_s == rounded
+        assert adapt({"len": str(raw)}, spec).duration_s == rounded
+    with pytest.raises(SchemaError, match="duration_s must be finite and positive"):
+        record_from_json_dict({**line, "duration_s": 0.0004})
+    with pytest.raises(SchemaError, match="duration_s must be finite and positive"):
+        adapt({"len": 0.0004}, spec)
+    # A record built in code keeps its duration; only writing rounds it.
+    assert make_record(duration_s=0.4996).duration_s == 0.4996
+
+
+def test_writers_make_a_missing_directory_only_when_needed(tmp_path, monkeypatch):
+    target = tmp_path / "new" / "deeper" / "m.jsonl"
+    write_manifest([make_record()], target)
+    assert target.is_file()
+    assert os.listdir(target.parent) == ["m.jsonl"]
+
+    def no_mkdir(self, *args, **kwargs):
+        raise AssertionError(f"mkdir {self}")
+
+    monkeypatch.setattr(Path, "mkdir", no_mkdir)
+    write_manifest([make_record("utt2")], target)
+    assert [r.key for r in read_manifest(target)] == ["utt2"]

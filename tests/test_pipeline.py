@@ -23,6 +23,7 @@ from voxkit import (
     UtteranceRecord,
     WordSpan,
     load_pipeline_config,
+    load_profile,
     load_profiles,
     normalize,
     romanize,
@@ -32,6 +33,7 @@ from voxkit import (
     shard,
     write_manifest,
 )
+from voxkit.textnorm import ProfileError, parse_profile
 
 PROFILES = load_profiles()
 
@@ -215,6 +217,9 @@ def test_config_errors_carry_line_numbers(tmp_path):
         ("workers = 2\nstages = normalize bogus\n",
          "line 4: unknown stage 'bogus'"),
         ("stages = filter filter\n", "line 3: stages listed more than once"),
+        ("stages = filter normalize\n", "line 3: stages must run in the order "
+                                        "normalize romanize align filter, got "
+                                        "filter normalize"),
         ("score_mode = fancy\n", "line 3: score_mode must be geometric or "
                                   "arithmetic, got 'fancy'"),
         # Filter settings the filter rejects are config errors on their line.
@@ -240,6 +245,68 @@ def test_config_errors_carry_line_numbers(tmp_path):
         with pytest.raises(ConfigError) as err:
             load_pipeline_config(write_config(tmp_path, body))
         assert fragment in str(err.value)
+
+
+def test_config_requires_stages_in_pipeline_order(tmp_path):
+    paths = dict(input_path=tmp_path / "in.jsonl", output_dir=tmp_path / "out",
+                 emissions_dir=tmp_path)
+    with pytest.raises(ConfigError, match="stages must run in the order") as err:
+        PipelineConfig(stages=("filter", "align", "romanize", "normalize"), **paths)
+    assert err.value.key == "stages"
+    # Stages may be left out, as long as the rest keep their order.
+    assert PipelineConfig(stages=("normalize", "align"), **paths).stages == (
+        "normalize", "align")
+
+
+def _profile_text(**changes):
+    fields = {"language": "en", "rules": "en", "min_ratio": "1.0",
+              "max_ratio": "5.0", "ranges": "0061-007A"}
+    fields.update(changes)
+    return "".join(f"{k} = {v}\n" for k, v in fields.items() if v is not None)
+
+
+def _load_misnamed_profile(tmp_path):
+    (tmp_path / "de.profile").write_text(_profile_text(), encoding="utf-8")
+    return load_profile("de", tmp_path)
+
+
+# Each row runs one refusal or setting that no other test reaches: a string
+# is the error it must raise, anything else the value it must return.
+@pytest.mark.parametrize("run, expected", [
+    (lambda tmp: parse_profile("language en\n"), "<string>:1: expected 'key = value'"),
+    (lambda tmp: parse_profile(_profile_text(ranges=None)), "missing key 'ranges'"),
+    (lambda tmp: parse_profile(_profile_text(max_ratio="fast")),
+     "ratio bounds must be numeric"),
+    (lambda tmp: parse_profile(_profile_text(ranges="0061-zz")), "bad range '0061-zz'"),
+    (lambda tmp: parse_profile(_profile_text(punctuation=". ...")),
+     "punctuation entries must be single characters, got '...'"),
+    (lambda tmp: parse_profile(_profile_text(min_ratio="5", max_ratio="1")),
+     "en: need 0 <= min_ratio < max_ratio, got [5.0, 1.0]"),
+    (lambda tmp: parse_profile(_profile_text(ranges="007A-0061")),
+     "en: empty range 007A-0061"),
+    (lambda tmp: parse_profile(_profile_text(rules="default")),
+     "en: rules 'default' names no number speller; known: de, en, es, fr, "
+     "id, it, pt, ru, vi, zh"),
+    (_load_misnamed_profile, "profile declares language 'en', expected 'de'"),
+    (lambda tmp: romanize("你好abc世界", "zh", split_zh_chars=True),
+     ["ni", "hao", "abc", "shi", "jie"]),
+    (lambda tmp: load_pipeline_config(write_config(
+        tmp, "emissions_dir = emit\nsplit_zh_chars = no\n")).split_zh_chars, False),
+    (lambda tmp: load_pipeline_config(write_config(tmp, "split_zh_chars = maybe\n")),
+     "line 3: split_zh_chars expects true/false, got 'maybe'"),
+    (lambda tmp: load_pipeline_config(tmp / "absent.conf"), "cannot read config"),
+    (lambda tmp: load_pipeline_config(write_config(tmp, "stages =\n")),
+     "line 3: empty key or value in 'stages ='"),
+], ids=["no-equals", "missing-key", "ratio-not-numeric", "bad-range",
+        "long-punctuation", "ratio-order", "empty-range", "no-number-speller",
+        "misnamed-profile", "zh-split-keeps-latin-runs", "split-zh-chars-no",
+        "split-zh-chars-maybe", "unreadable-config", "empty-value"])
+def test_profile_romanize_and_config_cases(tmp_path, run, expected):
+    if isinstance(expected, str):
+        with pytest.raises((ProfileError, ConfigError), match=re.escape(expected)):
+            run(tmp_path)
+    else:
+        assert run(tmp_path) == expected
 
 
 def test_pipeline_profiles_default_to_the_filters(tmp_path):
@@ -422,6 +489,23 @@ def test_run_pipeline_empty_input(tmp_path):
     assert (tmp_path / "out" / "filter.jsonl").exists()
 
 
+def test_run_pipeline_judges_the_duration_it_writes(tmp_path):
+    # 0.4996 s and 30.0004 s are written as 0.5 and 30.0, inside the default
+    # bounds, so they pass here as they do on a rerun over the output.
+    wide = {"en": PROFILES["en"].with_ratio_bounds(0.01, 1000.0)}
+    config = filter_only_config(tmp_path, [], profiles=wide,
+                                filter_config=FilterConfig(profiles=wide))
+    lines = [{**aligned_rec(key, duration_s=round(raw, 3), text="hi there")
+              .to_json_dict(), "duration_s": raw}
+             for key, raw in (("short", 0.4996), ("long", 30.0004))]
+    config.input_path.write_text("".join(json.dumps(line) + "\n" for line in lines),
+                                 encoding="utf-8")
+    summary = run_pipeline(config)
+    assert summary["output_records"] == 2
+    kept = list(read_manifest(tmp_path / "out" / "filter.jsonl"))
+    assert [r.duration_s for r in kept] == [0.5, 30.0]
+
+
 def peaked_emissions(tokens, duration_s):
     """Emissions whose best path spells the tokens exactly."""
     chars = [c for tok in tokens for c in tok]
@@ -496,6 +580,26 @@ def test_run_pipeline_end_to_end_reasons(tmp_path):
         row = json.loads(line)
         assert row["words"]
         assert row["avg_confidence"] > 0.9
+
+
+def test_run_pipeline_keeps_emission_keys_inside_emissions_dir(tmp_path):
+    (tmp_path / "outside").mkdir()
+    (tmp_path / "emit" / "spk1").mkdir(parents=True)
+    records = [rec("../outside/rel", 4.0), rec(str(tmp_path / "outside" / "abs"), 4.0),
+               rec("spk1/ok", 4.0)]
+    config = full_config(tmp_path, records, stages=("normalize", "romanize", "align"))
+    # full_config saved emissions for every key, two of them outside emit/.
+    assert (tmp_path / "outside" / "rel.npz").is_file()
+    assert (tmp_path / "outside" / "abs.npz").is_file()
+    summary = run_pipeline(config)
+    assert summary["stage_counts"]["align"] == {"in": 3, "out": 1}
+    assert summary["rejections"] == {"missing_emissions": 2}
+    romanized = list(read_manifest(tmp_path / "out" / "romanize.jsonl"))
+    _, rejected = pipeline_module.run_stage("align", romanized, config)
+    assert [r.key for r in rejected] == ["../outside/rel",
+                                         str(tmp_path / "outside" / "abs")]
+    for rejection in rejected:
+        assert "absolute or holds '..'" in str(rejection.error)
 
 
 def test_run_pipeline_unalignable(tmp_path):

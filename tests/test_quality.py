@@ -2,6 +2,7 @@ import pytest
 
 from voxkit import (
     FilterConfig,
+    FilterVerdict,
     InsufficientDataError,
     MissingConfidenceError,
     QualityError,
@@ -11,6 +12,7 @@ from voxkit import (
     load_profiles,
     run_chain,
 )
+from voxkit.quality import REASON_ORDER
 
 PROFILES = load_profiles()
 
@@ -191,6 +193,22 @@ def test_reasons_accumulate_in_canonical_order():
         got, key=("low_confidence", "too_short", "too_long", "long_gap",
                   "rate_low", "rate_high", "bad_charset",
                   "bad_language").index)
+
+
+def test_a_record_that_trips_every_fragment_lists_reasons_in_order():
+    # Low confidence, too long, one word then a long gap, a rate far below
+    # the profile's and an emoji: each of the five fragments fires once.
+    record = make_record(duration_s=40.0, confidence=0.1,
+                         raw_text="\U0001F600 ok", normalized_text="ok",
+                         words=(WordSpan("ok", 0.0, 1.0, 0.1),))
+    verdict = run_chain(record, config())
+    assert verdict.reasons == ("low_confidence", "too_long", "long_gap",
+                               "rate_low", "bad_charset")
+    assert list(verdict.reasons) == sorted(verdict.reasons, key=REASON_ORDER.index)
+    assert not verdict.passed
+    # passed is worked out from the reasons, so the two cannot disagree.
+    assert FilterVerdict("k", ()).passed
+    assert not FilterVerdict("k", ("too_long",)).passed
 
 
 def test_threshold_fallback_chain():

@@ -230,7 +230,7 @@ def test_pause_tagging_validates_thresholds():
 
 def test_profile_parser_errors(tmp_path):
     good = tmp_path / "en.profile"
-    good.write_text("language = en\nrules = default\nmin_ratio = 2.0\n"
+    good.write_text("language = en\nrules = en\nmin_ratio = 2.0\n"
                     "max_ratio = 28.0\nranges = 0061-007A\n"
                     "punctuation = . ,\n", encoding="utf-8")
     profile = parse_profile(good.read_text(encoding="utf-8"), origin=str(good))
@@ -248,7 +248,7 @@ def test_profile_env_override(tmp_path, monkeypatch):
     custom = tmp_path / "profiles"
     custom.mkdir()
     (custom / "en.profile").write_text(
-        "language = en\nrules = default\nmin_ratio = 1.0\nmax_ratio = 5.0\n"
+        "language = en\nrules = en\nmin_ratio = 1.0\nmax_ratio = 5.0\n"
         "ranges = 0061-007A\npunctuation = .\n", encoding="utf-8")
     (custom / "notes.txt").write_text("not a profile\n", encoding="utf-8")
     monkeypatch.setenv("VOXKIT_PROFILES", str(custom))
