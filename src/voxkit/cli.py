@@ -169,10 +169,7 @@ def _cmd_curate_eval(args) -> int:
     selected = [record for chosen in selections.values() for record in chosen]
     count = write_manifest(selected, args.output)
     if args.trims:
-        write_json_lines(args.trims, ({"key": t.key,
-                                       "old_duration_s": t.old_duration_s,
-                                       "new_duration_s": t.new_duration_s}
-                                      for t in trims))
+        write_json_lines(args.trims, trims)
     per_lang = ", ".join(f"{lang}: {len(chosen)}"
                          for lang, chosen in selections.items())
     _progress(f"curate-eval: selected {count} ({per_lang or 'none eligible'})")
@@ -280,7 +277,7 @@ def _cmd_stitch(args) -> int:
     out, plan = editctl.stitch(segments, rate, args.fade_s, args.overlap_s)
     write_wav(args.output, out, rate)
     if args.plan:
-        write_json(args.plan, plan.to_json_dict())
+        write_json(args.plan, plan)
     _progress(f"stitch: wrote {len(out)} samples at {rate} Hz to {args.output}")
     return EXIT_OK
 

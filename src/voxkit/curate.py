@@ -41,7 +41,7 @@ class EvalCriteria:
             raise CurationError(f"min_confidence {self.min_confidence} outside [0, 1]")
         if not (0 < self.min_duration_s < self.max_duration_s):
             raise CurationError("need 0 < min_duration_s < max_duration_s")
-        if self.trailing_silence_s < 0 or self.target_per_language < 1:
+        if not (self.trailing_silence_s >= 0 and self.target_per_language >= 1):
             raise CurationError("trailing silence and target must be positive")
 
 

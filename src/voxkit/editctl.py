@@ -20,6 +20,10 @@ import numpy as np
 # A retry fires when the output is shorter than this fraction of the
 # expected frame count for the text.
 SHORTFALL_FRACTION = 0.5
+# Each retry widens the edit mask by this many frames per side (0.5 s at
+# 50 frames/s) and raises the repetition penalty by PENALTY_DELTA.
+MASK_EXPAND_FRAMES = 25
+PENALTY_DELTA = 1.0
 
 
 class EditControlError(Exception):
@@ -43,9 +47,9 @@ class PenaltyParams:
     repetition_penalty: float = 1.0
 
     def __post_init__(self):
-        if self.repetition_penalty < 0:
-            raise EditControlError(f"repetition_penalty must be non-negative, "
-                                   f"got {self.repetition_penalty}")
+        if not (0 <= self.repetition_penalty < np.inf):
+            raise EditControlError(f"repetition_penalty must be finite and "
+                                   f"non-negative, got {self.repetition_penalty}")
 
     def bumped(self, delta: float) -> "PenaltyParams":
         return PenaltyParams(self.repetition_penalty + delta)
@@ -70,7 +74,7 @@ def apply_penalty(logits: np.ndarray, history_tokens: Sequence[int],
     penalised once. One call is a few NumPy operations over the history,
     O(len(history_tokens)). Returns a new float64 array.
     """
-    if factor <= 0:
+    if not factor > 0:
         raise EditControlError(f"penalty factor must be positive, got {factor}")
     out = np.array(logits, dtype=np.float64, copy=True)
     if out.ndim != 1:
@@ -114,8 +118,8 @@ class RegenController:
     """State for the bounded re-generation loop around one edit span.
 
     Mask boundaries are in frames; each retry widens the mask by
-    ``mask_expand_s`` of context per side (converted at ``frame_rate_hz``)
-    and bumps the repetition penalty by ``penalty_delta``.
+    MASK_EXPAND_FRAMES per side and bumps the repetition penalty by
+    PENALTY_DELTA.
     """
 
     avg_speed: float
@@ -125,19 +129,15 @@ class RegenController:
     penalty: PenaltyParams = field(default_factory=PenaltyParams)
     round: int = 0
     max_rounds: int = 3
-    frame_rate_hz: float = 50.0
-    mask_expand_s: float = 0.5
-    penalty_delta: float = 1.0
 
     def __post_init__(self):
-        if self.avg_speed <= 0 or self.target_tokens <= 0:
-            raise EditControlError("avg_speed and target_tokens must be positive")
+        if not (self.target_tokens > 0 and 0 < self.expected_frames < np.inf):
+            raise EditControlError("avg_speed and target_tokens must be positive "
+                                   "and their product finite")
         if not 0 <= self.mask_start < self.mask_end:
             raise EditControlError(f"bad mask [{self.mask_start}, {self.mask_end})")
         if self.round < 0 or self.max_rounds < 0 or self.round > self.max_rounds:
             raise EditControlError(f"round {self.round} outside [0, {self.max_rounds}]")
-        if self.frame_rate_hz <= 0:
-            raise EditControlError("frame_rate_hz must be positive")
 
     @property
     def expected_frames(self) -> float:
@@ -179,13 +179,12 @@ def regen_step(controller: RegenController,
         return RegenDecision(ACCEPT, controller, too_short, flagged)
     if controller.round >= controller.max_rounds:
         return RegenDecision(GIVE_UP, controller, too_short, flagged)
-    expand = round(controller.mask_expand_s * controller.frame_rate_hz)
     widened = replace(
         controller,
         round=controller.round + 1,
-        mask_start=max(0, controller.mask_start - expand),
-        mask_end=controller.mask_end + expand,
-        penalty=controller.penalty.bumped(controller.penalty_delta),
+        mask_start=max(0, controller.mask_start - MASK_EXPAND_FRAMES),
+        mask_end=controller.mask_end + MASK_EXPAND_FRAMES,
+        penalty=controller.penalty.bumped(PENALTY_DELTA),
     )
     return RegenDecision(RETRY, widened, too_short, flagged)
 
@@ -212,8 +211,8 @@ def chunk(duration_s: float, max_chunk_s: float,
     Adjacent intervals overlap by exactly overlap_s; a final shorter chunk
     absorbs the remainder.
     """
-    if duration_s <= 0:
-        raise EditControlError(f"duration must be positive, got {duration_s}")
+    if not (0 < duration_s < np.inf):
+        raise EditControlError(f"duration must be finite and positive, got {duration_s}")
     if not (0 < overlap_s < max_chunk_s):
         raise EditControlError(f"need 0 < overlap_s < max_chunk_s, got "
                                f"overlap {overlap_s}, max {max_chunk_s}")
@@ -239,15 +238,6 @@ class SplicePoint:
     fade_start: int          # absolute first sample of the cross-fade window
     zero_crossing: bool      # False when the midpoint fallback was used
 
-    def to_json_dict(self) -> dict:
-        return {
-            "boundary": self.boundary,
-            "overlap_start": self.overlap_start,
-            "splice": self.splice,
-            "fade_start": self.fade_start,
-            "zero_crossing": self.zero_crossing,
-        }
-
 
 @dataclass(frozen=True)
 class StitchPlan:
@@ -255,14 +245,6 @@ class StitchPlan:
     overlap_samples: tuple[int, ...]  # samples shared by each adjacent pair
     fade_samples: int
     splices: tuple[SplicePoint, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "segment_offsets": list(self.segment_offsets),
-            "overlap_samples": list(self.overlap_samples),
-            "fade_samples": self.fade_samples,
-            "splices": [s.to_json_dict() for s in self.splices],
-        }
 
 
 def _nearest_zero_crossing(samples: np.ndarray, target: int) -> tuple[int, bool]:

@@ -24,8 +24,9 @@ class GuidanceParams:
     strength: float = 5.0
 
     def __post_init__(self):
-        if self.strength < 0:
-            raise ScheduleError(f"strength must be non-negative, got {self.strength}")
+        if not (0 <= self.strength < np.inf):
+            raise ScheduleError(f"strength must be finite and non-negative, "
+                                f"got {self.strength}")
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,8 @@ class SwayParams:
     def __post_init__(self):
         if self.steps < 1:
             raise ScheduleError(f"steps must be at least 1, got {self.steps}")
-        if self.gamma <= -1.0:
-            raise ScheduleError(f"gamma must exceed -1, got {self.gamma}")
+        if not (-1.0 < self.gamma < np.inf):
+            raise ScheduleError(f"gamma must be finite and exceed -1, got {self.gamma}")
 
 
 def cfg_strength(t: float, params: GuidanceParams | None = None) -> float:

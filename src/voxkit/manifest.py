@@ -9,9 +9,9 @@ round-trip.
 
 This module is the only one that reads or writes JSON files: read_manifest
 reads manifests and adapted source rows, write_manifest writes records, and
-write_json and write_json_lines write every other JSON output. All of them
-write UTF-8 with sorted keys (records in canonical field order) and replace
-the target atomically.
+write_json and write_json_lines write every other JSON output, a dataclass
+instance as its fields. All of them write UTF-8 with sorted keys (records in
+canonical field order) and replace the target atomically.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import os
 import stat
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Iterable, Iterator, TextIO
 
@@ -40,9 +40,6 @@ _FIELD_ORDER = (
 )
 
 _WORD_FIELDS = ("word", "start_s", "end_s", "score")
-
-# The exact types a JSON number decodes to; bool, a subclass of int, is not one.
-_NUMBER_TYPES = (int, float)
 
 # json.dumps(..., ensure_ascii=False), built once rather than per line.
 _LINE_ENCODER = json.JSONEncoder(ensure_ascii=False)
@@ -170,13 +167,21 @@ def _check_str(obj: dict, name: str, line_no: int | None, default: str | None = 
     return value
 
 
+def _number(value: Any, line_no: int | None, field_name: str, expected: str) -> float:
+    """A JSON number as a float; bool, a subclass of int, is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _type_error(line_no, field_name, expected, value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError("integer too large for a float", line_no=line_no,
+                          field_name=field_name) from None
+
+
 def _check_number(obj: dict, name: str, line_no: int | None) -> float:
     if name not in obj:
         raise SchemaError("missing required field", line_no=line_no, field_name=name)
-    value = obj[name]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _type_error(line_no, name, "number", value)
-    return float(value)
+    return _number(obj[name], line_no, name, "number")
 
 
 def _parse_word(obj: Any, line_no: int | None, index: int) -> WordSpan:
@@ -187,9 +192,9 @@ def _parse_word(obj: Any, line_no: int | None, index: int) -> WordSpan:
         start_s = obj.get("start_s")
         end_s = obj.get("end_s")
         score = obj.get("score")
-        if (type(word) is str and type(start_s) in _NUMBER_TYPES
-                and type(end_s) in _NUMBER_TYPES and type(score) in _NUMBER_TYPES):
-            return WordSpan(word, float(start_s), float(end_s), float(score))
+        if (type(word) is str and type(start_s) is float
+                and type(end_s) is float and type(score) is float):
+            return WordSpan(word, start_s, end_s, score)
     if not isinstance(obj, dict):
         raise _type_error(line_no, f"words[{index}]", "object", obj)
     for name in _WORD_FIELDS:
@@ -199,12 +204,8 @@ def _parse_word(obj: Any, line_no: int | None, index: int) -> WordSpan:
     word = obj["word"]
     if not isinstance(word, str):
         raise _type_error(line_no, f"words[{index}].word", "string", word)
-    values = {}
-    for name in ("start_s", "end_s", "score"):
-        v = obj[name]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise _type_error(line_no, f"words[{index}].{name}", "number", v)
-        values[name] = float(v)
+    values = {name: _number(obj[name], line_no, f"words[{index}].{name}", "number")
+              for name in ("start_s", "end_s", "score")}
     return WordSpan(word=word, **values)
 
 
@@ -233,9 +234,7 @@ def record_from_json_dict(obj: dict[str, Any], line_no: int | None = None) -> Ut
 
     avg_confidence = obj.get("avg_confidence")
     if avg_confidence is not None:
-        if isinstance(avg_confidence, bool) or not isinstance(avg_confidence, (int, float)):
-            raise _type_error(line_no, "avg_confidence", "number or null", avg_confidence)
-        avg_confidence = float(avg_confidence)
+        avg_confidence = _number(avg_confidence, line_no, "avg_confidence", "number or null")
 
     extra = {k: v for k, v in obj.items() if k not in _FIELD_ORDER}
 
@@ -325,8 +324,9 @@ def read_manifest(path: str | Path,
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON: {exc.msg}", line_no=line_no) from exc
+            except ValueError as exc:  # also an integer literal past int's digit limit
+                raise SchemaError(f"invalid JSON: {getattr(exc, 'msg', exc)}",
+                                  line_no=line_no) from exc
             if adapter is None:
                 record = record_from_json_dict(obj, line_no=line_no)
             else:
@@ -401,10 +401,18 @@ def write_manifest(records: Iterable[UtteranceRecord], path: str | Path) -> int:
     return len(records)
 
 
+def _fields(obj: Any) -> dict[str, Any]:
+    """json's default hook: a dataclass instance is written as its fields."""
+    if is_dataclass(type(obj)):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def json_document(payload: Any) -> str:
     """payload as one indented, key-sorted JSON document that keeps non-ASCII
     text as it is, with a final newline."""
-    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False,
+                      default=_fields) + "\n"
 
 
 def write_json(path: str | Path, payload: Any) -> None:
@@ -417,7 +425,7 @@ def write_json_lines(path: str | Path, rows: Iterable[Any]) -> None:
     """Write one key-sorted UTF-8 JSON line per row, atomically."""
     with atomic_write(path) as fh:
         for row in rows:
-            fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False))
+            fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False, default=_fields))
             fh.write("\n")
 
 
@@ -469,7 +477,7 @@ def adapt(source_row: dict[str, Any], spec: SourceAdapterSpec,
             values[name] = str(values[name])
     try:
         values["duration_s"] = quantize_time(values["duration_s"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise AdapterError(f"duration_s not numeric: {values['duration_s']!r}",
                            line_no=line_no, field_name="duration_s",
                            key=values["key"]) from exc

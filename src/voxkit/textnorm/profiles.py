@@ -26,7 +26,7 @@ from typing import Iterable
 
 from .numbers import _RENDERERS
 
-SUPPORTED_LANGUAGES = ("de", "en", "es", "fr", "id", "it", "pt", "ru", "vi", "zh")
+SUPPORTED_LANGUAGES = tuple(sorted(_RENDERERS))
 
 _ENV_VAR = "VOXKIT_PROFILES"
 
@@ -50,8 +50,8 @@ class LanguageProfile:
         if self.rules not in _RENDERERS:
             raise ProfileError(
                 f"{self.language}: rules {self.rules!r} names no number "
-                f"speller; known: {', '.join(sorted(_RENDERERS))}")
-        if self.min_ratio < 0 or self.max_ratio <= self.min_ratio:
+                f"speller; known: {', '.join(SUPPORTED_LANGUAGES)}")
+        if not (0 <= self.min_ratio < self.max_ratio):
             raise ProfileError(
                 f"{self.language}: need 0 <= min_ratio < max_ratio, "
                 f"got [{self.min_ratio}, {self.max_ratio}]")

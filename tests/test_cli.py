@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -28,7 +29,7 @@ from voxkit import (
     write_manifest,
     write_wav,
 )
-from voxkit.cli import main
+from voxkit.cli import build_parser, main
 from voxkit.curate import compute_stats, stats_to_json_dict
 from voxkit.manifest import write_json
 
@@ -152,6 +153,41 @@ def test_ingest_refuses_a_duration_that_rounds_to_zero(tmp_path, capsys):
     out = tmp_path / "out.jsonl"
     assert main(["ingest", "-i", str(src), "-o", str(out)]) == 2
     assert "duration_s must be finite and positive, got 0.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+BIG = 10 ** 400  # an integer that float() cannot hold
+
+
+def _line(**changes):
+    return json.dumps({**rec("a").to_json_dict(), **changes})
+
+
+_FIRST_WORD = rec("a").to_json_dict()["words"][0]
+_ADAPT_LEN = ["--source", "web", "--map", "key=id", "--map", "duration_s=len",
+              "--default", "language=en", "--default", "audio_ref=a.wav",
+              "--default", "raw_text=hi"]
+
+
+@pytest.mark.parametrize("argv, line, message", [
+    (["stats"], _line(duration_s=BIG),
+     "line 1, field 'duration_s': integer too large for a float"),
+    (["stats"], _line(words=[{**_FIRST_WORD, "end_s": BIG}]),
+     "line 1, field 'words[0].end_s': integer too large for a float"),
+    (["stats"], _line(avg_confidence=BIG),
+     "line 1, field 'avg_confidence': integer too large for a float"),
+    (["stats"], '{"key": ' + "1" * 5000 + "}",
+     "line 1: invalid JSON: Exceeds the limit (4300 digits)"),
+    (["ingest", "-o", "OUT", *_ADAPT_LEN], json.dumps({"id": "r1", "len": BIG}),
+     "line 1, key 'r1', field 'duration_s': duration_s not numeric"),
+], ids=["duration", "word-end", "avg-confidence", "5000-digits", "ingest-map"])
+def test_numbers_a_float_cannot_hold_are_data_errors(tmp_path, capsys, argv, line,
+                                                     message):
+    src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    src.write_text(line + "\n", encoding="utf-8")
+    argv = [str(out) if a == "OUT" else a for a in argv]
+    assert main([argv[0], "-i", str(src), *argv[1:]]) == 2
+    assert f"data error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -853,6 +889,46 @@ def test_stitch_malformed_wav_is_a_data_error(tmp_path, capsys, damage):
     assert code == 2
     assert f"data error: {bad}: " in capsys.readouterr().err
     assert not (tmp_path / "o.wav").exists()
+
+
+def _float_option_commands(tmp_path):
+    """Minimal arguments for each command that has a float option."""
+    src = str(manifest_of(tmp_path, [rec("a")]))
+    out = str(tmp_path / "out")
+    for name in ("a.wav", "b.wav"):
+        write_wav(tmp_path / name, np.zeros(4000, dtype=np.int16), 8000)
+    return {
+        "filter": ["-i", src, "-o", out],
+        "fit-bounds": ["-i", src, "-l", "en"],
+        "curate-eval": ["-i", src, "-o", out, "--trims", out + ".trims"],
+        "sched": ["--json"],
+        "editsim": ["--avg-speed", "2", "--target-tokens", "10", "--mask", "5", "20",
+                    "--flags", "1"],
+        "stitch": ["--inputs", str(tmp_path / "a.wav"), str(tmp_path / "b.wav"),
+                   "-o", out, "--overlap-s", "0.1"],
+    }
+
+
+def test_every_float_option_survives_nan_and_inf(tmp_path, capsys):
+    """Each float option set to nan or inf is refused as bad input, or used
+    as given; it never raises out of main nor writes NaN or Infinity."""
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    required = _float_option_commands(tmp_path)
+    tried = 0
+    for command, sub in commands.items():
+        for action in sub._actions:
+            if action.type is not float:
+                continue
+            for value in ("nan", "inf"):
+                argv = [command, *required[command], action.option_strings[0], value]
+                code = main(argv)
+                out, err = capsys.readouterr()
+                assert code == 0 or err.startswith(
+                    ("error:", "data error:", "stage failure:")), (argv, err)
+                assert "NaN" not in out and "Infinity" not in out, argv
+                tried += 1
+    assert tried >= 2 * 13
 
 
 # ---------------------------------------------------------------- start-up

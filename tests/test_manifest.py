@@ -448,3 +448,33 @@ def test_writers_make_a_missing_directory_only_when_needed(tmp_path, monkeypatch
     monkeypatch.setattr(Path, "mkdir", no_mkdir)
     write_manifest([make_record("utt2")], target)
     assert [r.key for r in read_manifest(target)] == ["utt2"]
+
+
+def test_json_writers_write_a_dataclass_as_its_fields(tmp_path):
+    from voxkit import SplicePoint, StitchPlan
+    from voxkit.manifest import write_json, write_json_lines
+
+    splice = SplicePoint(boundary=0, overlap_start=90, splice=95, fade_start=93,
+                         zero_crossing=True)
+    plan = StitchPlan(segment_offsets=(0, 90), overlap_samples=(10,),
+                      fade_samples=4, splices=(splice,))
+    write_json(tmp_path / "plan.json", plan)
+    assert json.loads((tmp_path / "plan.json").read_text(encoding="utf-8")) == {
+        "fade_samples": 4, "overlap_samples": [10], "segment_offsets": [0, 90],
+        "splices": [{"boundary": 0, "fade_start": 93, "overlap_start": 90,
+                     "splice": 95, "zero_crossing": True}]}
+    write_json_lines(tmp_path / "rows.jsonl", [splice])
+    assert (tmp_path / "rows.jsonl").read_text(encoding="utf-8") == (
+        '{"boundary": 0, "fade_start": 93, "overlap_start": 90, "splice": 95, '
+        '"zero_crossing": true}\n')
+
+
+@pytest.mark.parametrize("writer", ["write_json", "write_json_lines"])
+def test_json_writers_refuse_what_json_cannot_encode(tmp_path, writer):
+    write = getattr(manifest_module, writer)
+    path = tmp_path / "out.json"
+    path.write_text("old\n", encoding="utf-8")
+    with pytest.raises(TypeError, match="Object of type complex is not JSON serializable"):
+        write(path, [1j])
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert os.listdir(tmp_path) == ["out.json"]
