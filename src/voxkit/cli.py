@@ -406,8 +406,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (ManifestError, ProfileError, ConfigError, QualityError,
             CurationError, EmptyTextError, UnmappableCharacterError,
-            AudioFormatError, json.JSONDecodeError, OSError,
-            UnicodeEncodeError) as exc:
+            AudioFormatError, OSError, UnicodeEncodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (AlignmentError, PipelineStageError, PipelineError,

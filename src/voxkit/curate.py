@@ -41,8 +41,12 @@ class EvalCriteria:
             raise CurationError(f"min_confidence {self.min_confidence} outside [0, 1]")
         if not (0 < self.min_duration_s < self.max_duration_s):
             raise CurationError("need 0 < min_duration_s < max_duration_s")
-        if not (self.trailing_silence_s >= 0 and self.target_per_language >= 1):
-            raise CurationError("trailing silence and target must be positive")
+        if not self.trailing_silence_s >= 0:
+            raise CurationError(
+                f"trailing silence must be >= 0, got {self.trailing_silence_s}")
+        if not self.target_per_language >= 1:
+            raise CurationError(
+                f"target per language must be >= 1, got {self.target_per_language}")
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ and serialization are part of the on-disk contract: times are written at
 millisecond (3-decimal) precision, keys are unique within a file, and writing
 the same records twice produces byte-identical output. Unknown fields found
 in input lines are carried through untouched so foreign annotations survive a
-round-trip.
+round-trip. A record checks itself when it is made, judging its times by the
+millisecond values they are written with, so every record written reads back.
 
 This module is the only one that reads or writes JSON files: read_manifest
 reads manifests and adapted source rows, write_manifest writes records, and
@@ -49,22 +50,21 @@ _CONFIDENCE_TOL = 1e-6
 
 
 class ManifestError(Exception):
-    """Base class for manifest validation and I/O problems."""
+    """Base class for manifest validation and I/O problems. The text names the
+    line, key and field that are set; only read_manifest sets ``line_no``."""
 
-    def __init__(self, message: str, *, line_no: int | None = None,
-                 field_name: str | None = None, key: str | None = None):
-        parts = []
-        if line_no is not None:
-            parts.append(f"line {line_no}")
-        if key is not None:
-            parts.append(f"key {key!r}")
-        if field_name is not None:
-            parts.append(f"field {field_name!r}")
-        prefix = ", ".join(parts)
-        super().__init__(f"{prefix}: {message}" if prefix else message)
-        self.line_no = line_no
+    def __init__(self, message: str, *, field_name: str | None = None,
+                 key: str | None = None):
+        super().__init__(message)
+        self.line_no: int | None = None
         self.field_name = field_name
         self.key = key
+
+    def __str__(self) -> str:
+        parts = [f"{name} {value!r}" for name, value in (
+            ("line", self.line_no), ("key", self.key), ("field", self.field_name))
+            if value is not None]
+        return f"{', '.join(parts)}: {self.args[0]}" if parts else self.args[0]
 
 
 class SchemaError(ManifestError):
@@ -104,7 +104,9 @@ class UtteranceRecord:
 
     ``words`` and ``avg_confidence`` stay empty/None until alignment has run;
     ``normalized_text`` and ``romanized_tokens`` until normalization has.
-    ``extra`` holds unknown input fields verbatim for round-tripping.
+    ``extra`` holds unknown input fields verbatim for round-tripping. Every
+    record, a copy made with ``dataclasses.replace`` included, runs
+    validate_record when it is made.
     """
 
     key: str
@@ -118,10 +120,6 @@ class UtteranceRecord:
     avg_confidence: float | None = None
     source: str = ""
     extra: dict[str, Any] = field(default_factory=dict)
-    # Set by validate_record once the record has passed. The record is
-    # frozen, so the mark cannot go stale; copies made with replace() start
-    # unmarked.
-    _validated: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # Canonicalize container types so equality is insensitive to whether
@@ -129,6 +127,7 @@ class UtteranceRecord:
         object.__setattr__(self, "romanized_tokens", tuple(self.romanized_tokens))
         object.__setattr__(self, "words", tuple(self.words))
         object.__setattr__(self, "duration_s", float(self.duration_s))
+        validate_record(self)
 
     def to_json_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -149,42 +148,39 @@ class UtteranceRecord:
         return out
 
 
-def _type_error(line_no: int | None, field_name: str, expected: str, got: Any) -> SchemaError:
-    return SchemaError(
-        f"expected {expected}, got {type(got).__name__}",
-        line_no=line_no, field_name=field_name,
-    )
+def _type_error(field_name: str, expected: str, got: Any) -> SchemaError:
+    return SchemaError(f"expected {expected}, got {type(got).__name__}",
+                       field_name=field_name)
 
 
-def _check_str(obj: dict, name: str, line_no: int | None, default: str | None = None) -> str:
+def _check_str(obj: dict, name: str, default: str | None = None) -> str:
     if name not in obj:
         if default is not None:
             return default
-        raise SchemaError("missing required field", line_no=line_no, field_name=name)
+        raise SchemaError("missing required field", field_name=name)
     value = obj[name]
     if not isinstance(value, str):
-        raise _type_error(line_no, name, "string", value)
+        raise _type_error(name, "string", value)
     return value
 
 
-def _number(value: Any, line_no: int | None, field_name: str, expected: str) -> float:
+def _number(value: Any, field_name: str, expected: str) -> float:
     """A JSON number as a float; bool, a subclass of int, is not a number."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _type_error(line_no, field_name, expected, value)
+        raise _type_error(field_name, expected, value)
     try:
         return float(value)
     except OverflowError:
-        raise SchemaError("integer too large for a float", line_no=line_no,
-                          field_name=field_name) from None
+        raise SchemaError("integer too large for a float", field_name=field_name) from None
 
 
-def _check_number(obj: dict, name: str, line_no: int | None) -> float:
+def _check_number(obj: dict, name: str) -> float:
     if name not in obj:
-        raise SchemaError("missing required field", line_no=line_no, field_name=name)
-    return _number(obj[name], line_no, name, "number")
+        raise SchemaError("missing required field", field_name=name)
+    return _number(obj[name], name, "number")
 
 
-def _parse_word(obj: Any, line_no: int | None, index: int) -> WordSpan:
+def _parse_word(obj: Any, index: int) -> WordSpan:
     # Fast path for a well-formed word; anything else takes the checks below,
     # which word the error.
     if type(obj) is dict:
@@ -196,110 +192,117 @@ def _parse_word(obj: Any, line_no: int | None, index: int) -> WordSpan:
                 and type(end_s) is float and type(score) is float):
             return WordSpan(word, start_s, end_s, score)
     if not isinstance(obj, dict):
-        raise _type_error(line_no, f"words[{index}]", "object", obj)
+        raise _type_error(f"words[{index}]", "object", obj)
     for name in _WORD_FIELDS:
         if name not in obj:
-            raise SchemaError("missing required field", line_no=line_no,
-                              field_name=f"words[{index}].{name}")
+            raise SchemaError("missing required field", field_name=f"words[{index}].{name}")
     word = obj["word"]
     if not isinstance(word, str):
-        raise _type_error(line_no, f"words[{index}].word", "string", word)
-    values = {name: _number(obj[name], line_no, f"words[{index}].{name}", "number")
+        raise _type_error(f"words[{index}].word", "string", word)
+    values = {name: _number(obj[name], f"words[{index}].{name}", "number")
               for name in ("start_s", "end_s", "score")}
     return WordSpan(word=word, **values)
 
 
-def record_from_json_dict(obj: dict[str, Any], line_no: int | None = None) -> UtteranceRecord:
-    """Build a validated record from a parsed JSON object."""
+def record_from_json_dict(obj: dict[str, Any]) -> UtteranceRecord:
+    """Build a record from a parsed JSON object."""
     if not isinstance(obj, dict):
-        raise _type_error(line_no, "<line>", "object", obj)
+        raise _type_error("<line>", "object", obj)
 
-    key = _check_str(obj, "key", line_no)
-    language = _check_str(obj, "language", line_no)
-    audio_ref = _check_str(obj, "audio_ref", line_no)
-    # Rounded on the way in, so a record is judged by the value it is written with.
-    duration_s = quantize_time(_check_number(obj, "duration_s", line_no))
-    raw_text = _check_str(obj, "raw_text", line_no)
-    normalized_text = _check_str(obj, "normalized_text", line_no, default="")
-    source = _check_str(obj, "source", line_no, default="")
+    key = _check_str(obj, "key")
+    language = _check_str(obj, "language")
+    audio_ref = _check_str(obj, "audio_ref")
+    # Rounded on the way in, so the record holds the value it is written with.
+    duration_s = quantize_time(_check_number(obj, "duration_s"))
+    raw_text = _check_str(obj, "raw_text")
+    normalized_text = _check_str(obj, "normalized_text", default="")
+    source = _check_str(obj, "source", default="")
 
     tokens_raw = obj.get("romanized_tokens", [])
     if not isinstance(tokens_raw, list) or any(not isinstance(t, str) for t in tokens_raw):
-        raise _type_error(line_no, "romanized_tokens", "list of strings", tokens_raw)
+        raise _type_error("romanized_tokens", "list of strings", tokens_raw)
 
     words_raw = obj.get("words", [])
     if not isinstance(words_raw, list):
-        raise _type_error(line_no, "words", "list", words_raw)
-    words = tuple(_parse_word(w, line_no, i) for i, w in enumerate(words_raw))
+        raise _type_error("words", "list", words_raw)
+    words = tuple(_parse_word(w, i) for i, w in enumerate(words_raw))
 
     avg_confidence = obj.get("avg_confidence")
     if avg_confidence is not None:
-        avg_confidence = _number(avg_confidence, line_no, "avg_confidence", "number or null")
+        avg_confidence = _number(avg_confidence, "avg_confidence", "number or null")
 
     extra = {k: v for k, v in obj.items() if k not in _FIELD_ORDER}
 
-    record = UtteranceRecord(
+    return UtteranceRecord(
         key=key, language=language, audio_ref=audio_ref, duration_s=duration_s,
         raw_text=raw_text, normalized_text=normalized_text,
         romanized_tokens=tuple(tokens_raw), words=words,
         avg_confidence=avg_confidence, source=source, extra=extra,
     )
-    validate_record(record, line_no=line_no)
-    return record
 
 
-def validate_record(record: UtteranceRecord, line_no: int | None = None) -> None:
+def validate_record(record: UtteranceRecord) -> None:
     """Raise SchemaError if the record violates a manifest invariant.
 
-    A record that passes is marked, and write_manifest does not check it again.
+    Times are judged by the millisecond values they are written with, so a
+    record that passes reads back. Every record runs this when it is made.
     """
     if not record.key:
-        raise SchemaError("key must be non-empty", line_no=line_no, field_name="key")
+        raise SchemaError("key must be non-empty", field_name="key")
     if not record.language:
-        raise SchemaError("language must be non-empty", line_no=line_no,
-                          field_name="language", key=record.key)
-    if not (math.isfinite(record.duration_s) and record.duration_s > 0):
-        raise SchemaError(f"duration_s must be finite and positive, got {record.duration_s}",
-                          line_no=line_no, field_name="duration_s", key=record.key)
+        raise SchemaError("language must be non-empty", field_name="language",
+                          key=record.key)
+    duration_q = quantize_time(record.duration_s)
+    if not (math.isfinite(duration_q) and duration_q > 0):
+        written = f", written as {duration_q}" if duration_q == 0 < record.duration_s else ""
+        raise SchemaError(f"duration_s must be finite and positive, got "
+                          f"{record.duration_s}{written}",
+                          field_name="duration_s", key=record.key)
     if record.avg_confidence is not None and not (0.0 <= record.avg_confidence <= 1.0):
         raise SchemaError(f"avg_confidence {record.avg_confidence} outside [0, 1]",
-                          line_no=line_no, field_name="avg_confidence", key=record.key)
+                          field_name="avg_confidence", key=record.key)
 
-    duration_q = quantize_time(record.duration_s)
     prev_end = None
     for i, span in enumerate(record.words):
-        if not (0.0 <= span.start_s < span.end_s):
-            raise SchemaError(
-                f"span [{span.start_s}, {span.end_s}) is empty or negative",
-                line_no=line_no, field_name=f"words[{i}]", key=record.key)
-        # Rounding is monotone and duration_q is already rounded, so an end
-        # at or below duration_q cannot round past it.
+        # Rounding is monotone, so only a span under 2 ms long can be
+        # written as an empty one, and an end at or below duration_q, which
+        # is already rounded, cannot round past it.
+        if not (0.0 <= span.start_s < span.end_s - 0.002):
+            if not (0.0 <= span.start_s < span.end_s):
+                raise SchemaError(
+                    f"span [{span.start_s}, {span.end_s}) is empty or negative",
+                    field_name=f"words[{i}]", key=record.key)
+            start_q, end_q = quantize_time(span.start_s), quantize_time(span.end_s)
+            if start_q >= end_q:
+                raise SchemaError(
+                    f"span [{span.start_s}, {span.end_s}) is written as "
+                    f"[{start_q}, {end_q}), which is empty",
+                    field_name=f"words[{i}]", key=record.key)
         if span.end_s > duration_q and quantize_time(span.end_s) > duration_q:
             raise SchemaError(
                 f"span ends at {span.end_s} beyond duration {record.duration_s}",
-                line_no=line_no, field_name=f"words[{i}]", key=record.key)
+                field_name=f"words[{i}]", key=record.key)
         if not (0.0 <= span.score <= 1.0):
             raise SchemaError(f"score {span.score} outside [0, 1]",
-                              line_no=line_no, field_name=f"words[{i}]", key=record.key)
+                              field_name=f"words[{i}]", key=record.key)
         if prev_end is not None and span.start_s < prev_end:
             raise SchemaError(
                 f"span starts at {span.start_s} before previous end {prev_end}",
-                line_no=line_no, field_name=f"words[{i}]", key=record.key)
+                field_name=f"words[{i}]", key=record.key)
         prev_end = span.end_s
 
     if record.words:
         if record.romanized_tokens and len(record.words) != len(record.romanized_tokens):
             raise SchemaError(
                 f"{len(record.words)} word spans but {len(record.romanized_tokens)} "
-                "romanized tokens", line_no=line_no, field_name="words", key=record.key)
+                "romanized tokens", field_name="words", key=record.key)
         if record.avg_confidence is not None:
             mean_score = sum(w.score for w in record.words) / len(record.words)
             if abs(record.avg_confidence - mean_score) > _CONFIDENCE_TOL:
                 raise SchemaError(
                     f"avg_confidence {record.avg_confidence} does not match word "
-                    f"score mean {mean_score}", line_no=line_no,
-                    field_name="avg_confidence", key=record.key)
-    object.__setattr__(record, "_validated", True)
+                    f"score mean {mean_score}", field_name="avg_confidence",
+                    key=record.key)
 
 
 def record_to_line(record: UtteranceRecord) -> str:
@@ -312,10 +315,10 @@ def read_manifest(path: str | Path,
     """Yield records from a JSONL file in file order, skipping blank lines.
 
     Without an adapter each line is a manifest record; with one, each line is
-    a source row that ``adapt`` maps onto a record. Raises SchemaError with
-    the 1-based line number for a line that is not JSON or not a valid
-    record, AdapterError for a row the adapter cannot map, and
-    DuplicateKeyError when a key repeats within the file.
+    a source row that ``adapt`` maps onto a record. Raises SchemaError for a
+    line that is not JSON or not a valid record, AdapterError for a row the
+    adapter cannot map, and DuplicateKeyError when a key repeats within the
+    file; this is the one place that gives an error its 1-based line number.
     """
     seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
@@ -323,16 +326,19 @@ def read_manifest(path: str | Path,
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-            except ValueError as exc:  # also an integer literal past int's digit limit
-                raise SchemaError(f"invalid JSON: {getattr(exc, 'msg', exc)}",
-                                  line_no=line_no) from exc
-            if adapter is None:
-                record = record_from_json_dict(obj, line_no=line_no)
-            else:
-                record = adapt(obj, adapter, line_no=line_no)
-            if record.key in seen:
-                raise DuplicateKeyError("duplicate key", line_no=line_no, key=record.key)
+                try:
+                    obj = json.loads(line)
+                except ValueError as exc:  # also an integer literal past int's digit limit
+                    raise SchemaError(f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
+                if adapter is None:
+                    record = record_from_json_dict(obj)
+                else:
+                    record = adapt(obj, adapter)
+                if record.key in seen:
+                    raise DuplicateKeyError("duplicate key", key=record.key)
+            except ManifestError as exc:
+                exc.line_no = line_no
+                raise
             seen.add(record.key)
             yield record
 
@@ -384,13 +390,11 @@ def write_manifest(records: Iterable[UtteranceRecord], path: str | Path) -> int:
     Output is byte-stable: the same records always produce the same file.
     Duplicate keys are rejected before anything is written, and the file
     is replaced atomically, so a failed write leaves the old one in place.
-    A record is validated unless it already passed validate_record.
+    A record checked itself when it was made, so none is checked again here.
     """
     records = list(records)
     seen: set[str] = set()
     for record in records:
-        if not record._validated:
-            validate_record(record)
         if record.key in seen:
             raise DuplicateKeyError("duplicate key", key=record.key)
         seen.add(record.key)
@@ -451,14 +455,10 @@ class AdapterError(ManifestError):
     """A source row cannot be mapped onto a record."""
 
 
-def adapt(source_row: dict[str, Any], spec: SourceAdapterSpec,
-          line_no: int | None = None) -> UtteranceRecord:
-    """Map one raw source row to a record, leaving alignment fields empty.
-
-    ``line_no`` is the row's line in its file, reported in any error.
-    """
+def adapt(source_row: dict[str, Any], spec: SourceAdapterSpec) -> UtteranceRecord:
+    """Map one raw source row to a record, leaving alignment fields empty."""
     if not isinstance(source_row, dict):
-        raise AdapterError("expected a JSON object", line_no=line_no)
+        raise AdapterError("expected a JSON object")
     values: dict[str, Any] = {}
     for name in SourceAdapterSpec._ADAPTABLE:
         if name in spec.field_map:
@@ -469,25 +469,24 @@ def adapt(source_row: dict[str, Any], spec: SourceAdapterSpec,
         if name in spec.defaults:
             values[name] = spec.defaults[name]
             continue
-        raise AdapterError("no mapping or default for required field",
-                           line_no=line_no, field_name=name)
+        raise AdapterError("no mapping or default for required field", field_name=name)
 
     for name in ("key", "language", "audio_ref", "raw_text"):
         if not isinstance(values[name], str):
             values[name] = str(values[name])
     try:
         values["duration_s"] = quantize_time(values["duration_s"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise AdapterError(f"duration_s not numeric: {values['duration_s']!r}",
-                           line_no=line_no, field_name="duration_s",
+    except OverflowError as exc:
+        raise AdapterError("integer too large for a float", field_name="duration_s",
                            key=values["key"]) from exc
-
-    record = UtteranceRecord(source=spec.source, **values)
-    validate_record(record, line_no=line_no)
-    return record
+    except (TypeError, ValueError) as exc:
+        raise AdapterError(f"duration_s not numeric: {values['duration_s']!r}",
+                           field_name="duration_s", key=values["key"]) from exc
+    return UtteranceRecord(source=spec.source, **values)
 
 
 def with_words(record: UtteranceRecord, words: Iterable[WordSpan],
                avg_confidence: float) -> UtteranceRecord:
-    """Return a copy of the record with alignment results attached."""
+    """A copy of the record with alignment results attached; SchemaError if
+    they do not fit it."""
     return replace(record, words=tuple(words), avg_confidence=avg_confidence)

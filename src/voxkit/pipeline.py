@@ -19,9 +19,8 @@ from .aligner import (SCORE_MODES, AlignmentError, AlignmentResult,
                       find_emissions, load_emissions)
 from .curate import compute_stats, stats_to_json_dict
 from .manifest import (ManifestError, SchemaError, SourceAdapterSpec,
-                       UtteranceRecord, read_manifest, validate_record,
-                       with_words, write_json, write_json_lines,
-                       write_manifest)
+                       UtteranceRecord, read_manifest, with_words,
+                       write_json, write_json_lines, write_manifest)
 from .quality import FilterConfig, QualityError, run_chain
 from .textnorm import (EmptyTextError, LanguageProfile, ProfileError,
                        UnmappableCharacterError, load_profiles, normalize,
@@ -416,15 +415,13 @@ def _aligned(record: UtteranceRecord, result: AlignmentResult | AlignmentError
     record (say, they run past its duration)."""
     if isinstance(result, AlignmentError):
         return Rejection(record.key, "align", ("unalignable",), result)
-    aligned = with_words(record, result.words, result.score)
     try:
-        validate_record(aligned)
+        return with_words(record, result.words, result.score)
     except SchemaError as exc:
         error = EmissionFormatError(f"emissions for key {record.key!r} do not "
                                     f"fit the record: {exc}")
         error.__cause__ = exc
         return Rejection(record.key, "align", ("bad_emissions",), error)
-    return aligned
 
 
 def _stage_filter(record: UtteranceRecord,

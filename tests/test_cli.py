@@ -179,7 +179,7 @@ _ADAPT_LEN = ["--source", "web", "--map", "key=id", "--map", "duration_s=len",
     (["stats"], '{"key": ' + "1" * 5000 + "}",
      "line 1: invalid JSON: Exceeds the limit (4300 digits)"),
     (["ingest", "-o", "OUT", *_ADAPT_LEN], json.dumps({"id": "r1", "len": BIG}),
-     "line 1, key 'r1', field 'duration_s': duration_s not numeric"),
+     "line 1, key 'r1', field 'duration_s': integer too large for a float"),
 ], ids=["duration", "word-end", "avg-confidence", "5000-digits", "ingest-map"])
 def test_numbers_a_float_cannot_hold_are_data_errors(tmp_path, capsys, argv, line,
                                                      message):

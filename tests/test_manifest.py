@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import stat
 import tempfile
@@ -88,13 +89,17 @@ def test_unknown_fields_survive_round_trip():
     assert back["snr_db"] == 14.2
 
 
-def test_missing_core_field_names_the_field():
+def test_missing_core_field_names_the_field(tmp_path):
     obj = json.loads(record_to_line(make_record()))
     del obj["duration_s"]
     with pytest.raises(SchemaError) as err:
-        record_from_json_dict(obj, line_no=7)
-    assert "duration_s" in str(err.value)
-    assert "line 7" in str(err.value)
+        record_from_json_dict(obj)
+    assert str(err.value) == "field 'duration_s': missing required field"
+    path = tmp_path / "m.jsonl"
+    path.write_text("\n" * 6 + json.dumps(obj) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        list(read_manifest(path))
+    assert str(err.value) == "line 7, field 'duration_s': missing required field"
 
 
 def test_wrong_type_rejected():
@@ -135,9 +140,12 @@ def test_duplicate_keys_rejected_on_read_and_write(tmp_path):
 
 def test_write_validates_before_touching_the_file(tmp_path):
     path = tmp_path / "out.jsonl"
-    bad = make_record("utt2", avg_confidence=2.0)
+    # A bad record cannot be built, so it never reaches the writer.
     with pytest.raises(ManifestError):
-        write_manifest([make_record(), bad], path)
+        write_manifest([make_record(), make_record("utt2", avg_confidence=2.0)], path)
+    assert not path.exists()
+    with pytest.raises(DuplicateKeyError):
+        write_manifest([make_record(), make_record()], path)
     assert not path.exists()
 
 
@@ -193,21 +201,16 @@ def test_write_to_fifo_streams_into_it(tmp_path):
 
 
 def test_validate_rejects_bad_spans():
-    backwards = make_record(words=(
-        WordSpan(word="a", start_s=1.0, end_s=0.5, score=0.9),))
     with pytest.raises(ManifestError):
-        validate_record(backwards)
-    overlapping = make_record(words=(
-        WordSpan(word="a", start_s=0.0, end_s=1.0, score=0.9),
-        WordSpan(word="b", start_s=0.5, end_s=2.0, score=0.9)),
-        avg_confidence=0.9)
+        make_record(words=(WordSpan(word="a", start_s=1.0, end_s=0.5, score=0.9),))
     with pytest.raises(ManifestError):
-        validate_record(overlapping)
-    past_end = make_record(duration_s=1.0, words=(
-        WordSpan(word="a", start_s=0.5, end_s=1.5, score=0.9),),
-        avg_confidence=0.9)
+        make_record(words=(WordSpan(word="a", start_s=0.0, end_s=1.0, score=0.9),
+                           WordSpan(word="b", start_s=0.5, end_s=2.0, score=0.9)),
+                    avg_confidence=0.9)
     with pytest.raises(ManifestError):
-        validate_record(past_end)
+        make_record(duration_s=1.0,
+                    words=(WordSpan(word="a", start_s=0.5, end_s=1.5, score=0.9),),
+                    avg_confidence=0.9)
 
 
 def test_validate_checks_confidence_consistency():
@@ -215,9 +218,8 @@ def test_validate_checks_confidence_consistency():
              WordSpan(word="b", start_s=1.0, end_s=2.0, score=0.6))
     ok = make_record(words=words, avg_confidence=0.7)
     validate_record(ok)
-    off = make_record(words=words, avg_confidence=0.75)
     with pytest.raises(ManifestError):
-        validate_record(off)
+        make_record(words=words, avg_confidence=0.75)
 
 
 def test_validate_span_end_may_touch_quantized_duration():
@@ -313,25 +315,28 @@ def test_read_then_write_validates_each_record_once(tmp_path, monkeypatch):
     calls = []
     real = manifest_module.validate_record
 
-    def counting(record, line_no=None):
+    def counting(record):
         calls.append(record.key)
-        real(record, line_no=line_no)
+        real(record)
 
     monkeypatch.setattr(manifest_module, "validate_record", counting)
     records = list(read_manifest(path))
+    assert calls == ["a", "b", "c"]
     write_manifest(records, tmp_path / "out.jsonl")
     write_manifest(records, tmp_path / "again.jsonl")
     assert calls == ["a", "b", "c"]
-    # A copy is a new record and is checked when written.
-    write_manifest([replace(records[0], source="x")], tmp_path / "copy.jsonl")
+    # A copy is a new record and is checked when it is made, not when written.
+    copy = replace(records[0], source="x")
+    assert calls == ["a", "b", "c", "a"]
+    write_manifest([copy], tmp_path / "copy.jsonl")
     assert calls == ["a", "b", "c", "a"]
 
 
 def test_write_rejects_backwards_span_built_in_code(tmp_path):
     path = tmp_path / "out.jsonl"
-    record = make_record(words=(WordSpan(word="a", start_s=1.0, end_s=0.5, score=0.9),))
     with pytest.raises(SchemaError, match=r"span \[1.0, 0.5\) is empty or negative"):
-        write_manifest([record], path)
+        write_manifest([make_record(words=(
+            WordSpan(word="a", start_s=1.0, end_s=0.5, score=0.9),))], path)
     assert not path.exists()
 
 
@@ -339,10 +344,108 @@ def test_copy_of_validated_record_is_checked_again(tmp_path):
     path = tmp_path / "in.jsonl"
     write_manifest([aligned_record("a")], path)
     (record,) = read_manifest(path)
-    bad = with_words(record, (WordSpan(word="a", start_s=0.5, end_s=9.0, score=0.9),
-                              WordSpan(word="b", start_s=9.0, end_s=9.5, score=0.9)), 0.9)
     with pytest.raises(SchemaError, match="beyond duration"):
-        write_manifest([bad], tmp_path / "out.jsonl")
+        with_words(record, (WordSpan(word="a", start_s=0.5, end_s=9.0, score=0.9),
+                            WordSpan(word="b", start_s=9.0, end_s=9.5, score=0.9)), 0.9)
+
+
+# ------------------------------------------------- a record checks itself
+
+_HI = WordSpan(word="hi", start_s=0.1, end_s=0.5, score=0.9)
+_THERE = WordSpan(word="there", start_s=0.6, end_s=1.0, score=0.7)
+_VALID = dict(key="a", language="en", audio_ref="a.wav", duration_s=2.0,
+              raw_text="hi there", romanized_tokens=("hi", "there"),
+              words=(_HI, _THERE), avg_confidence=0.8)
+
+
+def _span(start_s, end_s, score=0.9):
+    return WordSpan(word="hi", start_s=start_s, end_s=end_s, score=score)
+
+
+# One row per invariant validate_record enforces: the fields that break it,
+# and the message. Rows that change only words and avg_confidence can also
+# be reached through with_words.
+_INVARIANTS = [
+    ("empty-key", {"key": ""}, "key must be non-empty"),
+    ("empty-language", {"language": ""}, "language must be non-empty"),
+    ("zero-duration", {"duration_s": 0.0}, "duration_s must be finite and positive"),
+    ("nan-duration", {"duration_s": math.nan}, "duration_s must be finite and positive"),
+    ("sub-ms-duration", {"duration_s": 0.0004}, "duration_s must be finite and positive"),
+    ("negative-duration", {"duration_s": -1.0}, "finite and positive, got -1.0$"),
+    ("confidence-range", {"avg_confidence": 1.5}, r"avg_confidence 1.5 outside \[0, 1\]"),
+    ("backwards-span", {"words": (_span(0.5, 0.1), _THERE)}, "is empty or negative"),
+    ("negative-span", {"words": (_span(-0.1, 0.5), _THERE)}, "is empty or negative"),
+    ("sub-ms-span", {"words": (_span(0.0001, 0.0004), _THERE)},
+     r"span \[0.0001, 0.0004\) is written as \[0.0, 0.0\), which is empty"),
+    ("past-duration", {"words": (_HI, replace(_THERE, end_s=2.5))}, "beyond duration"),
+    ("score-range", {"words": (_span(0.1, 0.5, score=1.5), _THERE)},
+     r"score 1.5 outside \[0, 1\]"),
+    ("overlap", {"words": (_HI, replace(_THERE, start_s=0.4))}, "before previous end"),
+    ("token-count", {"words": (_HI,), "avg_confidence": 0.9},
+     "1 word spans but 2 romanized tokens"),
+    ("confidence-mean", {"avg_confidence": 0.5}, "does not match word score mean"),
+]
+
+
+def _by_constructor(changes, tmp_path):
+    return UtteranceRecord(**{**_VALID, **changes})
+
+
+def _by_replace(changes, tmp_path):
+    return replace(UtteranceRecord(**_VALID), **changes)
+
+
+def _by_with_words(changes, tmp_path):
+    return with_words(UtteranceRecord(**_VALID), changes.get("words", _VALID["words"]),
+                      changes.get("avg_confidence", _VALID["avg_confidence"]))
+
+
+def _by_read_manifest(changes, tmp_path):
+    # Times as they stand, not rounded as a writer would round them.
+    row = {**UtteranceRecord(**_VALID).to_json_dict(), **changes}
+    row["words"] = [vars(w) if isinstance(w, WordSpan) else w for w in row["words"]]
+    first = record_to_line(UtteranceRecord(**{**_VALID, "key": "first"}))
+    path = tmp_path / "m.jsonl"
+    path.write_text(first + "\n" + json.dumps(row) + "\n", encoding="utf-8")
+    return list(read_manifest(path))
+
+
+_WAYS = {"constructor": _by_constructor, "replace": _by_replace,
+         "with_words": _by_with_words, "read_manifest": _by_read_manifest}
+
+
+@pytest.mark.parametrize("way, changes, message", [
+    pytest.param(way, changes, message, id=f"{way}-{name}")
+    for way in _WAYS for name, changes, message in _INVARIANTS
+    if way != "with_words" or set(changes) <= {"words", "avg_confidence"}])
+def test_every_way_of_making_a_record_checks_it(tmp_path, way, changes, message):
+    with pytest.raises(SchemaError, match=message) as err:
+        _WAYS[way](changes, tmp_path)
+    assert err.value.line_no == (2 if way == "read_manifest" else None)
+
+
+_ROWS = SourceAdapterSpec(source="web", field_map={"key": "id", "duration_s": "len"},
+                          defaults={"language": "en", "audio_ref": "a.wav",
+                                    "raw_text": "hi"})
+
+
+# Errors raised while adapting a row, and a repeated key, carry the line too.
+@pytest.mark.parametrize("second, error, message", [
+    ('{"len": 1.0}', AdapterError,
+     "line 2, field 'key': no mapping or default for required field"),
+    ('{"id": "r2", "len": 1' + "0" * 400 + "}", AdapterError,
+     "line 2, key 'r2', field 'duration_s': integer too large for a float"),
+    ('{"id": "r2", "len": 0.0004}', SchemaError,
+     "line 2, key 'r2', field 'duration_s': duration_s must be finite and positive, got 0.0"),
+    ('{"id": "r1", "len": 2.0}', DuplicateKeyError, "line 2, key 'r1': duplicate key"),
+], ids=["unmapped", "overflow", "sub-ms-duration", "duplicate"])
+def test_read_manifest_numbers_adapter_errors(tmp_path, second, error, message):
+    path = tmp_path / "m.jsonl"
+    path.write_text(f'{{"id": "r1", "len": 1.0}}\n{second}\n', encoding="utf-8")
+    with pytest.raises(error) as err:
+        list(read_manifest(path, _ROWS))
+    assert err.value.line_no == 2
+    assert str(err.value) == message
 
 
 def test_validation_mark_is_not_part_of_the_record(tmp_path):

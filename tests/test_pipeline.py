@@ -717,13 +717,48 @@ def test_run_pipeline_rejects_emissions_that_do_not_fit_the_record(tmp_path):
     romanized = list(read_manifest(tmp_path / "out" / "romanize.jsonl"))
     survivors, rejections = pipeline_module.run_stage("align", romanized, config)
     assert [r.key for r in survivors] == ["ok1", "ok2"]
-    assert all(r._validated for r in survivors)
+    write_manifest(survivors, tmp_path / "survivors.jsonl")
+    assert [r.key for r in read_manifest(tmp_path / "survivors.jsonl")] == ["ok1", "ok2"]
     overrun, infinite = (r.error for r in rejections)
     assert isinstance(overrun, EmissionFormatError)
     assert "'k2'" in str(overrun) and "beyond duration 0.1" in str(overrun)
     assert isinstance(overrun.__cause__, SchemaError)
     assert isinstance(infinite, EmissionFormatError)
     assert "frame_dur_s must be finite" in str(infinite)
+
+
+
+def _one_letter_emissions(frames, letter_frames):
+    """0.4 ms frames over (blank, "a") that spend letter_frames on the letter."""
+    probs = np.full((frames, 2), 1e-4)
+    probs[:, 0] = 1.0
+    probs[letter_frames, 0], probs[letter_frames, 1] = 1e-4, 1.0
+    probs /= probs.sum(axis=1, keepdims=True)
+    return EmissionMatrix(np.log(probs), 0.0004, (BLANK_TOKEN, "a"))
+
+
+def test_run_pipeline_rejects_spans_that_round_to_nothing(tmp_path):
+    # A word on frame 0 spans [0, 0.0004 s), which would be written as
+    # [0.0, 0.0); one on frames 3-4 spans [0.0012, 0.002), written as
+    # [0.001, 0.002), which reads back.
+    records = [rec("empty", 1.0, text="a"), rec("short", 1.0, text="a"),
+               rec("ok", 6.0, text="some gentle words in a quiet room")]
+    config = full_config(tmp_path, records, stages=("normalize", "romanize", "align"))
+    save_emissions(_one_letter_emissions(3, [0]), config.emissions_dir / "empty.npz")
+    save_emissions(_one_letter_emissions(6, [3, 4]), config.emissions_dir / "short.npz")
+
+    summary = run_pipeline(config)
+    assert summary["rejections"] == {"bad_emissions": 1}
+    rejected = [json.loads(line) for line in (tmp_path / "out" / "rejections.jsonl")
+                .read_text(encoding="utf-8").splitlines()]
+    assert rejected == [{"key": "empty", "stage": "align", "reasons": ["bad_emissions"]}]
+    (short, ok) = read_manifest(tmp_path / "out" / "align.jsonl")
+    assert [(w.start_s, w.end_s) for w in short.words] == [(0.001, 0.002)]
+    assert ok.key == "ok"
+    manifests = [p for p in (tmp_path / "out").glob("*.jsonl") if p.name != "rejections.jsonl"]
+    assert len(manifests) >= 3
+    for path in manifests:
+        list(read_manifest(path))
 
 
 def test_run_pipeline_aligns_long_utterances(tmp_path):

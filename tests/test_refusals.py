@@ -24,7 +24,6 @@ from voxkit import (
     apply_penalty,
     chunk,
     record_from_json_dict,
-    validate_record,
 )
 from voxkit.manifest import AdapterError
 from voxkit.textnorm.profiles import parse_profile
@@ -43,11 +42,16 @@ def _controller(avg_speed, target_tokens=10):
 
 
 # Each row was accepted, or failed with a foreign error, before range checks
-# were written as the condition that must hold.
+# were written as the condition that must hold. The two EvalCriteria rows
+# with plain bad values check that each message names its own value.
 @pytest.mark.parametrize("make, error, message", [
     (lambda: _profile("nan", 5), ProfileError, "need 0 <= min_ratio < max_ratio"),
     (lambda: _profile(1, "nan"), ProfileError, "need 0 <= min_ratio < max_ratio"),
     (lambda: EvalCriteria(trailing_silence_s=NAN), CurationError, "trailing silence"),
+    (lambda: EvalCriteria(trailing_silence_s=-1), CurationError,
+     r"^trailing silence must be >= 0, got -1$"),
+    (lambda: EvalCriteria(target_per_language=0), CurationError,
+     r"^target per language must be >= 1, got 0$"),
     (lambda: _controller(NAN), EditControlError, "avg_speed"),
     (lambda: _controller(INF), EditControlError, "avg_speed"),
     (lambda: _controller(1e308), EditControlError, "product finite"),
@@ -60,7 +64,8 @@ def _controller(avg_speed, target_tokens=10):
     (lambda: apply_penalty(np.ones(4), [1], NAN), EditControlError, "penalty factor"),
     (lambda: chunk(NAN, 10.0, 1.0), EditControlError, "duration"),
     (lambda: chunk(INF, 10.0, 1.0), EditControlError, "duration"),
-], ids=["min_ratio-nan", "max_ratio-nan", "trailing_silence-nan", "avg_speed-nan",
+], ids=["min_ratio-nan", "max_ratio-nan", "trailing_silence-nan",
+        "trailing_silence-negative", "target-zero", "avg_speed-nan",
         "avg_speed-inf", "expected-frames-inf", "penalty-nan", "penalty-inf",
         "strength-nan", "strength-inf", "gamma-nan", "gamma-inf", "factor-nan",
         "chunk-duration-nan", "chunk-duration-inf"])
@@ -94,14 +99,14 @@ _ADAPTER = SourceAdapterSpec(source="web", defaults={"language": "en",
     (lambda: _emissions(_HALF, ("<blank>", "<blank>")), EmissionFormatError, "unique"),
     (lambda: _emissions(np.zeros((2, 1)), ("<blank>",)), EmissionFormatError,
      "at least one label"),
-    (lambda: record_from_json_dict(_record(audio_ref=5), line_no=4), SchemaError,
-     "line 4, field 'audio_ref': expected string, got int"),
-    (lambda: validate_record(UtteranceRecord(**_record(key=""))), SchemaError,
+    (lambda: record_from_json_dict(_record(audio_ref=5)), SchemaError,
+     "^field 'audio_ref': expected string, got int$"),
+    (lambda: UtteranceRecord(**_record(key="")), SchemaError,
      "field 'key': key must be non-empty"),
-    (lambda: validate_record(UtteranceRecord(**_record(language=""))), SchemaError,
+    (lambda: UtteranceRecord(**_record(language="")), SchemaError,
      "key 'a', field 'language': language must be non-empty"),
-    (lambda: adapt({"id": "r1", "len": "long"}, _ADAPTER, line_no=2), AdapterError,
-     "line 2, key 'r1', field 'duration_s': duration_s not numeric: 'long'"),
+    (lambda: adapt({"id": "r1", "len": "long"}, _ADAPTER), AdapterError,
+     "^key 'r1', field 'duration_s': duration_s not numeric: 'long'$"),
     (lambda: adapt({"id": "r1", "len": [1]}, _ADAPTER), AdapterError, "not numeric"),
 ], ids=["emissions-ndim", "emissions-columns", "emissions-duplicate-vocab",
         "emissions-vocab-too-short", "wrong-string-type", "empty-key",
