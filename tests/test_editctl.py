@@ -141,6 +141,47 @@ def test_apply_penalty_matches_scalar_loop(case):
     assert logits.tobytes() == before
 
 
+def _float64s(*bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+QUIET_NANS = _float64s(0x7FF8000000000000, 0x7FF8000000000123, 0xFFF8000000000123)
+TRAP_LOGITS = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 2.5, -2.5, 1e-300, -1e300],
+                              QUIET_NANS])
+
+
+@pytest.mark.parametrize("factor", [np.inf, 1e300, 1e-300])
+def test_apply_penalty_extreme_factors_match_scalar_loop(factor):
+    # 0 * inf is NaN, so a zero logit must never be multiplied.
+    history = np.arange(len(TRAP_LOGITS))
+    with np.errstate(all="ignore"):
+        want = reference_penalty(TRAP_LOGITS, history, factor)
+        got = apply_penalty(TRAP_LOGITS, history, factor)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_apply_penalty_quiets_a_signalling_nan():
+    signalling = _float64s(0x7FF0000000000001)
+    with np.errstate(invalid="ignore"):
+        out = apply_penalty(signalling, [0], 2.0)
+    assert out.view(np.uint64)[0] == 0x7FF8000000000001
+
+
+@pytest.mark.parametrize("dtype", ["int8", "int16", "int32", "int64"])
+def test_apply_penalty_refuses_negative_tokens_of_every_width(dtype):
+    with pytest.raises(EditControlError, match="^history token -1 outside vocabulary of 4$"):
+        apply_penalty(np.zeros(4), np.array([0, -1], dtype=dtype), 2.0)
+
+
+@pytest.mark.parametrize("dtype, token", [
+    ("uint8", 4), ("uint8", 255), ("uint64", 4), ("uint64", 2**63), ("uint64", 2**64 - 1)])
+def test_apply_penalty_refuses_unsigned_tokens_past_the_vocabulary(dtype, token):
+    # NumPy casts a uint64 index past the intp range to a negative one,
+    # which would wrap round to the end of the logits.
+    with pytest.raises(EditControlError, match=f"^history token {token} outside vocabulary"):
+        apply_penalty(np.zeros(4), np.array([1, token], dtype=dtype), 2.0)
+
+
 def test_avg_speed():
     assert avg_speed(200, 50) == 4.0
     with pytest.raises(EditControlError):

@@ -43,6 +43,30 @@ def test_combine_pushes_along_the_difference():
     assert np.allclose(cfg_combine(cond, uncond, 2.0), [3.0, 4.0])
 
 
+def _operands(dtype, shape):
+    rng = np.random.default_rng(3)
+    values = rng.normal(scale=100.0, size=(2,) + shape)
+    if np.dtype(dtype).kind == "i":
+        values = np.rint(values)
+    return values[0].astype(dtype), values[1].astype(dtype)
+
+
+@pytest.mark.parametrize("g", [0.0, -2.5, 1e10])
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+@pytest.mark.parametrize("dtype", ["float32", "float64", "int16", "int64"])
+def test_combine_bytes_match_float64_formula(dtype, shape, g):
+    cond, uncond = _operands(dtype, shape)
+    views = [(cond, uncond)]
+    if len(shape) == 2:
+        views.append((cond.T, uncond.T))  # non-contiguous
+    for c, u in views:
+        c64, u64 = c.astype(np.float64), u.astype(np.float64)
+        got = cfg_combine(c, u, g)
+        assert got.dtype == np.float64 and got.shape == c.shape
+        assert type(got) is (np.ndarray if shape else np.float64)
+        assert got.tobytes() == (c64 + g * (c64 - u64)).tobytes()
+
+
 def test_sway_grid_gamma_zero_is_uniform():
     grid = sway_grid(SwayParams(gamma=0.0, steps=8))
     assert np.allclose(grid, np.linspace(0.0, 1.0, 9), atol=1e-12)

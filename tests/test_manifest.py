@@ -424,6 +424,17 @@ def test_every_way_of_making_a_record_checks_it(tmp_path, way, changes, message)
     assert err.value.line_no == (2 if way == "read_manifest" else None)
 
 
+# tuple() would split a bare string into letters; each way of making a
+# record refuses one instead. read_manifest refuses any non-list already.
+@pytest.mark.parametrize("way, name", [
+    ("constructor", "romanized_tokens"), ("constructor", "words"),
+    ("replace", "romanized_tokens"), ("replace", "words"), ("with_words", "words")])
+def test_a_bare_string_is_not_a_sequence_of_tokens(tmp_path, way, name):
+    with pytest.raises(SchemaError, match=f"^key 'a', field '{name}': "
+                                          "expected a sequence, got str$"):
+        _WAYS[way]({name: "hi"}, tmp_path)
+
+
 _ROWS = SourceAdapterSpec(source="web", field_map={"key": "id", "duration_s": "len"},
                           defaults={"language": "en", "audio_ref": "a.wav",
                                     "raw_text": "hi"})

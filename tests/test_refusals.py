@@ -22,6 +22,7 @@ from voxkit import (
     UtteranceRecord,
     adapt,
     apply_penalty,
+    cfg_combine,
     chunk,
     record_from_json_dict,
 )
@@ -108,9 +109,25 @@ _ADAPTER = SourceAdapterSpec(source="web", defaults={"language": "en",
     (lambda: adapt({"id": "r1", "len": "long"}, _ADAPTER), AdapterError,
      "^key 'r1', field 'duration_s': duration_s not numeric: 'long'$"),
     (lambda: adapt({"id": "r1", "len": [1]}, _ADAPTER), AdapterError, "not numeric"),
+    (lambda: apply_penalty(np.array([1 + 2j, -1j]), [0, 1], 2.0), EditControlError,
+     "^logits must be real numbers, not complex128$"),
+    (lambda: apply_penalty(["1", "2"], [0], 2.0), EditControlError,
+     "^logits must be real numbers, not <U1$"),
+    (lambda: apply_penalty(np.array([True, False]), [0], 2.0), EditControlError,
+     "^logits must be real numbers, not bool$"),
+    (lambda: cfg_combine(np.array([1 + 2j]), np.array([1j]), 1.0), ScheduleError,
+     "^cond must be real numbers, not complex128$"),
+    (lambda: cfg_combine(["1"], ["2"], 1.0), ScheduleError,
+     "^cond must be real numbers, not <U1$"),
+    (lambda: cfg_combine(np.ones(2), np.array([True, False]), 1.0), ScheduleError,
+     "^uncond must be real numbers, not bool$"),
+    (lambda: cfg_combine(np.ones(2), np.zeros(2), 1j), ScheduleError,
+     r"^g must be a real number, got 1j$"),
 ], ids=["emissions-ndim", "emissions-columns", "emissions-duplicate-vocab",
         "emissions-vocab-too-short", "wrong-string-type", "empty-key",
-        "empty-language", "adapt-text-duration", "adapt-list-duration"])
+        "empty-language", "adapt-text-duration", "adapt-list-duration",
+        "penalty-complex-logits", "penalty-text-logits", "penalty-bool-logits",
+        "cfg-complex-cond", "cfg-text-cond", "cfg-bool-uncond", "cfg-complex-g"])
 def test_refusals_at_entry(make, error, message):
     with pytest.raises(error, match=message):
         make()
