@@ -23,12 +23,13 @@ import functools
 import io
 import itertools
 import math
+import struct
 import warnings
 import zipfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import BinaryIO, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -50,6 +51,14 @@ _NPZ_SUFFIX = ".npz"
 _ZIP_PREFIXES = (b"PK\x03\x04", b"PK\x05\x06")
 # Size in bytes of the header-length field of each .npy format version read.
 _NPY_LENGTH_BYTES = {(1, 0): 2, (2, 0): 4}
+# The arrays an emission archive holds, and the member file name of each.
+_NPZ_ARRAYS = ("log_probs", "frame_dur_s", "vocab")
+_NPZ_MEMBERS = {f"{name}.npy".encode(): name for name in _NPZ_ARRAYS}
+# A zip archive's end record, central-directory entry and local header, in
+# the layouts zipfile reads them with.
+_END = struct.Struct(zipfile.structEndArchive)
+_CENTRAL = struct.Struct(zipfile.structCentralDir)
+_LOCAL = struct.Struct(zipfile.structFileHeader)
 
 _SENTINEL = np.array([-np.inf])
 
@@ -490,11 +499,15 @@ def load_emissions(path: str | Path) -> EmissionMatrix:
             return _load_emit(path)
     except KeyError as exc:
         raise EmissionFormatError(f"{path.name}: missing array {exc}") from exc
-    except (ValueError, TypeError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
-        # _load_npz refuses a non-archive, a malformed .npy member and an
-        # object array (ValueError), a truncated archive or a bad CRC as
-        # BadZipFile; text that is not UTF-8 raises UnicodeDecodeError, a
-        # ValueError.
+    except (ValueError, TypeError, EOFError, RuntimeError, zipfile.BadZipFile,
+            zlib.error) as exc:
+        # _load_npz refuses a non-archive, a malformed .npy member, an
+        # object array and an offset before the start of the file
+        # (ValueError), a truncated archive or a bad CRC as BadZipFile;
+        # zipfile refuses an encrypted member (RuntimeError) and an
+        # unsupported version, method or flag bit (NotImplementedError, a
+        # RuntimeError). Text that is not UTF-8 raises UnicodeDecodeError,
+        # a ValueError.
         raise EmissionFormatError(f"{path.name}: {exc}") from exc
     raise EmissionFormatError(f"unsupported emission file suffix: {path.name}")
 
@@ -502,35 +515,104 @@ def load_emissions(path: str | Path) -> EmissionMatrix:
 def _load_npz(path: Path) -> EmissionMatrix:
     """Read an archive as np.load(allow_pickle=False) would, without np.load.
 
-    Every member is read whole, so zipfile checks its CRC.
+    The file is read with one call. An archive laid out as np.savez writes
+    one is taken apart from those bytes directly (_savez_members); any
+    other goes to zipfile over the same bytes, so its errors are zipfile's.
+    Either way each member's CRC is checked, and one .npy parser reads it.
     """
     with open(path, "rb") as fh:
-        if fh.read(4) not in _ZIP_PREFIXES:
-            raise ValueError("not a zip archive")
-        fh.seek(0)
-        with zipfile.ZipFile(fh) as archive:
-            log_probs, frame_dur_s, vocab = (_read_npy(archive, name) for name
-                                             in ("log_probs", "frame_dur_s", "vocab"))
+        data = fh.read()
+    if data[:4] not in _ZIP_PREFIXES:
+        raise ValueError("not a zip archive")
+    members = _savez_members(data)
+    if members is not None:
+        log_probs, frame_dur_s, vocab = (_read_npy(io.BytesIO(members[name]), name)
+                                         for name in _NPZ_ARRAYS)
+    else:
+        with zipfile.ZipFile(io.BytesIO(data)) as archive:
+            log_probs, frame_dur_s, vocab = (_read_member(archive, name)
+                                             for name in _NPZ_ARRAYS)
     if vocab.ndim != 1:
         raise ValueError(f"vocab must be 1-D, got shape {vocab.shape}")
     return EmissionMatrix(log_probs=log_probs, frame_dur_s=float(frame_dur_s),
                           vocab=tuple(map(str, vocab.tolist())))
 
 
-def _read_npy(archive: zipfile.ZipFile, name: str) -> np.ndarray:
-    """The array np.savez stored under name, writable, in its header's order."""
+def _savez_members(data: bytes) -> dict[str, bytes] | None:
+    """The three members of an archive laid out exactly as np.savez writes it.
+
+    None unless every field zipfile reads has the value np.savez writes:
+    the end record is the last 22 bytes, with no comment, one disk, no zip64
+    locator before it and the central directory right before it; each
+    central entry is stored with flag bits 0, no extra field or comment and
+    a version zipfile reads; the local headers and their data follow each
+    other from byte 0 up to the central directory, in its order, each with
+    the name of its entry; each CRC matches; and the members are exactly
+    _NPZ_ARRAYS. The local header's extra field (np.savez writes a zip64
+    one there) is skipped by its length, and the sizes come from the central
+    directory, as zipfile does. So zipfile accepts every archive that this
+    accepts and reads the same member bytes from it.
+    """
+    end = len(data) - _END.size
+    if end < 0:
+        return None
+    (signature, disk, directory_disk, disk_entries, entries, directory_size,
+     directory_start, comment_size) = _END.unpack_from(data, end)
+    if (signature != zipfile.stringEndArchive or disk or directory_disk
+            or comment_size or disk_entries != entries or entries != len(_NPZ_ARRAYS)
+            or directory_start + directory_size != end
+            or data[end - 20:end - 16] == zipfile.stringEndArchive64Locator):
+        return None
+    members: dict[str, bytes] = {}
+    entry, local = directory_start, 0
+    while entry < end:
+        if entry + _CENTRAL.size > end:
+            return None
+        (signature, _, _, version, _, flags, method, _, _, crc, size, file_size,
+         name_size, extra_size, comment_size, _, _, _, offset) = _CENTRAL.unpack_from(
+            data, entry)
+        name = data[entry + _CENTRAL.size:entry + _CENTRAL.size + name_size]
+        array = _NPZ_MEMBERS.get(name)
+        if (signature != zipfile.stringCentralDir or version > zipfile.MAX_EXTRACT_VERSION
+                or flags or method != zipfile.ZIP_STORED or extra_size or comment_size
+                or size != file_size or offset != local or array is None
+                or array in members or local + _LOCAL.size > directory_start):
+            return None
+        entry += _CENTRAL.size + name_size
+        local_fields = _LOCAL.unpack_from(data, local)
+        start = local + _LOCAL.size + name_size + local_fields[-1]
+        if (local_fields[0] != zipfile.stringFileHeader or local_fields[-2] != name_size
+                or data[local + _LOCAL.size:local + _LOCAL.size + name_size] != name
+                or start + size > directory_start):
+            return None
+        members[array] = member = data[start:start + size]
+        if zlib.crc32(member) != crc:
+            return None
+        local = start + size
+    if entry != end or local != directory_start or len(members) != len(_NPZ_ARRAYS):
+        return None
+    return members
+
+
+def _read_member(archive: zipfile.ZipFile, name: str) -> np.ndarray:
+    """The array np.savez stored under name, read through zipfile."""
     try:
         fp = archive.open(f"{name}.npy")
     except KeyError:
         raise KeyError(name) from None
     with fp:
-        version = np.lib.format.read_magic(fp)
-        if version not in _NPY_LENGTH_BYTES:
-            raise ValueError(f"{name}: unsupported .npy format version {version}")
-        field = fp.read(_NPY_LENGTH_BYTES[version])
-        header = field + fp.read(int.from_bytes(field, "little"))
-        shape, fortran_order, dtype = _npy_header(version, header)
-        data = fp.read()
+        return _read_npy(fp, name)
+
+
+def _read_npy(fp: BinaryIO, name: str) -> np.ndarray:
+    """The array in one .npy member, writable, in its header's order."""
+    version = np.lib.format.read_magic(fp)
+    if version not in _NPY_LENGTH_BYTES:
+        raise ValueError(f"{name}: unsupported .npy format version {version}")
+    field = fp.read(_NPY_LENGTH_BYTES[version])
+    header = field + fp.read(int.from_bytes(field, "little"))
+    shape, fortran_order, dtype = _npy_header(version, header)
+    data = fp.read()
     return np.frombuffer(bytearray(data), dtype, count=math.prod(shape)).reshape(
         shape, order="F" if fortran_order else "C")
 

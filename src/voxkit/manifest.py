@@ -9,19 +9,23 @@ round-trip. A record checks itself when it is made, judging its times by the
 millisecond values they are written with, so every record written reads back.
 
 This module is the only one that reads or writes JSON files: read_manifest
-reads manifests and adapted source rows, write_manifest writes records, and
-write_json and write_json_lines write every other JSON output, a dataclass
-instance as its fields. All of them write UTF-8 with sorted keys (records in
-canonical field order) and replace the target atomically.
+reads manifests and adapted source rows, write_manifest writes records
+(inside a reusing_lines block, a record object it wrote before is not
+encoded again), and write_json and write_json_lines write every other JSON
+output, a dataclass instance as its fields. All of them write UTF-8 with
+sorted keys (records in canonical field order) and replace the target
+atomically.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import stat
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Iterable, Iterator, TextIO
@@ -41,6 +45,9 @@ _FIELD_ORDER = (
 )
 
 _WORD_FIELDS = ("word", "start_s", "end_s", "score")
+
+# The record fields that hold text.
+_TEXT_FIELDS = ("key", "language", "audio_ref", "raw_text", "normalized_text", "source")
 
 # json.dumps(..., ensure_ascii=False), built once rather than per line.
 _LINE_ENCODER = json.JSONEncoder(ensure_ascii=False)
@@ -122,16 +129,35 @@ class UtteranceRecord:
     extra: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
+        key = self.key if isinstance(self.key, str) else None
+        # One expression checks the text fields; the loop names the first
+        # that is not text.
+        if not (key is not None and isinstance(self.language, str)
+                and isinstance(self.audio_ref, str) and isinstance(self.raw_text, str)
+                and isinstance(self.normalized_text, str) and isinstance(self.source, str)):
+            name = next(name for name in _TEXT_FIELDS
+                        if not isinstance(getattr(self, name), str))
+            raise _type_error(name, "string", getattr(self, name), key=key)
         # Canonicalize container types so equality is insensitive to whether
         # the caller passed lists or tuples. tuple() would split a bare
         # string into its letters, so one is refused first.
         for name in ("romanized_tokens", "words"):
             if isinstance(getattr(self, name), str):
                 raise SchemaError("expected a sequence, got str", field_name=name,
-                                  key=self.key)
+                                  key=key)
         object.__setattr__(self, "romanized_tokens", tuple(self.romanized_tokens))
         object.__setattr__(self, "words", tuple(self.words))
-        object.__setattr__(self, "duration_s", float(self.duration_s))
+        # A NumPy real scalar is a numbers.Real; a bool is refused as the
+        # read path refuses it.
+        duration = self.duration_s
+        if type(duration) is not float and (isinstance(duration, bool)
+                                            or not isinstance(duration, numbers.Real)):
+            raise _type_error("duration_s", "number", duration, key=key)
+        try:
+            object.__setattr__(self, "duration_s", float(duration))
+        except OverflowError:
+            raise SchemaError("integer too large for a float", field_name="duration_s",
+                              key=key) from None
         validate_record(self)
 
     def to_json_dict(self) -> dict[str, Any]:
@@ -153,9 +179,10 @@ class UtteranceRecord:
         return out
 
 
-def _type_error(field_name: str, expected: str, got: Any) -> SchemaError:
+def _type_error(field_name: str, expected: str, got: Any,
+                key: str | None = None) -> SchemaError:
     return SchemaError(f"expected {expected}, got {type(got).__name__}",
-                       field_name=field_name)
+                       field_name=field_name, key=key)
 
 
 def _check_str(obj: dict, name: str, default: str | None = None) -> str:
@@ -395,6 +422,50 @@ def atomic_write(path: str | Path | TextIO) -> Iterator[TextIO]:
         raise
 
 
+class LineMemo:
+    """The lines write_manifest wrote inside a reusing_lines block.
+
+    Entries map id(record) to (record, line). Holding the record keeps its
+    id from going to another object while the entry lives. A record is
+    frozen, so its line cannot change.
+    """
+
+    def __init__(self) -> None:
+        self._previous: dict[int, tuple[UtteranceRecord, str]] = {}
+        self._current: dict[int, tuple[UtteranceRecord, str]] = {}
+
+    def line(self, record: UtteranceRecord) -> str:
+        """record's line: the one kept from before the last turn, if any."""
+        entry = self._previous.get(id(record))
+        line = entry[1] if entry is not None else record_to_line(record)
+        self._current[id(record)] = (record, line)
+        return line
+
+    def turn(self) -> None:
+        """Keep the lines written since the last turn, and only those."""
+        self._previous, self._current = self._current, {}
+
+
+_LINE_MEMO: ContextVar[LineMemo | None] = ContextVar("voxkit_line_memo", default=None)
+
+
+@contextmanager
+def reusing_lines() -> Iterator[LineMemo]:
+    """A block in which write_manifest reuses lines it wrote before.
+
+    A record object that a write made before the memo's last turn wrote is
+    written with the same line again instead of being encoded anew, so the
+    bytes are the same. Only the lines written between the last two turns
+    are kept, so the memo holds the records its owner holds anyway.
+    """
+    memo = LineMemo()
+    token = _LINE_MEMO.set(memo)
+    try:
+        yield memo
+    finally:
+        _LINE_MEMO.reset(token)
+
+
 def write_manifest(records: Iterable[UtteranceRecord], path: str | Path) -> int:
     """Write records as JSONL. Returns the number of records written.
 
@@ -402,6 +473,7 @@ def write_manifest(records: Iterable[UtteranceRecord], path: str | Path) -> int:
     Duplicate keys are rejected before anything is written, and the file
     is replaced atomically, so a failed write leaves the old one in place.
     A record checked itself when it was made, so none is checked again here.
+    Inside a reusing_lines block the block's memo gives each line.
     """
     records = list(records)
     seen: set[str] = set()
@@ -409,9 +481,11 @@ def write_manifest(records: Iterable[UtteranceRecord], path: str | Path) -> int:
         if record.key in seen:
             raise DuplicateKeyError("duplicate key", key=record.key)
         seen.add(record.key)
+    memo = _LINE_MEMO.get()
+    encode = record_to_line if memo is None else memo.line
     with atomic_write(path) as fh:
         for record in records:
-            fh.write(record_to_line(record))
+            fh.write(encode(record))
             fh.write("\n")
     return len(records)
 

@@ -19,7 +19,7 @@ from .aligner import (SCORE_MODES, AlignmentError, AlignmentResult,
                       find_emissions, load_emissions)
 from .curate import compute_stats, stats_to_json_dict
 from .manifest import (ManifestError, SchemaError, SourceAdapterSpec,
-                       UtteranceRecord, read_manifest, with_words,
+                       UtteranceRecord, read_manifest, reusing_lines, with_words,
                        write_json, write_json_lines, write_manifest)
 from .quality import FilterConfig, QualityError, run_chain
 from .textnorm import (EmptyTextError, LanguageProfile, ProfileError,
@@ -502,27 +502,32 @@ def run_pipeline(config: PipelineConfig,
     histogram: dict[str, int] = {}
     rejections: list[Rejection] = []
 
-    for stage in config.stages:
-        survivors, rejected = run_stage(stage, records, config)
-        for rejection in rejected:
-            for reason in rejection.reasons:
-                histogram[reason] = histogram.get(reason, 0) + 1
-        rejections += rejected
-        stage_counts[stage] = {"in": len(records), "out": len(survivors)}
-        write_manifest(survivors, config.output_dir / f"{stage}.jsonl")
-        note(f"{stage}: {len(records)} in, {len(survivors)} out")
-        records = survivors
+    # A record that survives a stage unchanged (the filter passes the very
+    # objects align made) and every sharded record is written with the line
+    # the last stage manifest holds for it, so it is encoded once per run.
+    with reusing_lines() as lines:
+        for stage in config.stages:
+            survivors, rejected = run_stage(stage, records, config)
+            for rejection in rejected:
+                for reason in rejection.reasons:
+                    histogram[reason] = histogram.get(reason, 0) + 1
+            rejections += rejected
+            stage_counts[stage] = {"in": len(records), "out": len(survivors)}
+            write_manifest(survivors, config.output_dir / f"{stage}.jsonl")
+            lines.turn()
+            note(f"{stage}: {len(records)} in, {len(survivors)} out")
+            records = survivors
 
-    write_rejections(rejections, config.output_dir / "rejections.jsonl")
+        write_rejections(rejections, config.output_dir / "rejections.jsonl")
 
-    stats = compute_stats(records)
-    write_json(config.output_dir / "stats.json", stats_to_json_dict(stats))
+        stats = compute_stats(records)
+        write_json(config.output_dir / "stats.json", stats_to_json_dict(stats))
 
-    if config.shard_count > 1:
-        assignment = shard(records, config.shard_count)
-        write_shards(records, assignment, config.output_dir)
-        note(f"shard: {config.shard_count} shards, "
-             f"{max(assignment.durations, default=0.0):.1f}s max")
+        if config.shard_count > 1:
+            assignment = shard(records, config.shard_count)
+            write_shards(records, assignment, config.output_dir)
+            note(f"shard: {config.shard_count} shards, "
+                 f"{max(assignment.durations, default=0.0):.1f}s max")
 
     summary = {
         "input_records": n_input,

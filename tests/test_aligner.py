@@ -426,6 +426,45 @@ def test_npz_headers_are_parsed_once_each(tmp_path, monkeypatch):
         assert len(calls) == parses
 
 
+def _load_outcome(path):
+    """What load_emissions makes of path: the matrix's contents or the error text."""
+    try:
+        loaded = load_emissions(path)
+    except EmissionFormatError as exc:
+        return str(exc)
+    return (loaded.log_probs.tobytes(), loaded.log_probs.flags.f_contiguous,
+            loaded.frame_dur_s, loaded.vocab)
+
+
+def test_npz_direct_parse_agrees_with_zipfile_on_every_byte_flip(tmp_path, monkeypatch):
+    """Each single-byte flip of a saved archive, read as load_emissions reads it
+    and again through zipfile alone, gives the same arrays or the same error,
+    and nothing but EmissionFormatError escapes either way."""
+    path = tmp_path / "utt1.npz"
+    save_emissions(peaked_emissions([1, 2, 0], vocab_size=3), path)
+    archive = path.read_bytes()
+    direct = aligner_module._savez_members
+    assert direct(archive) is not None
+    accepted, read_directly = set(), 0
+    for at in range(len(archive)):
+        for mask in (0x01, 0x40, 0xFF):
+            flipped = bytearray(archive)
+            flipped[at] ^= mask
+            path.write_bytes(flipped)
+            got = _load_outcome(path)
+            monkeypatch.setattr(aligner_module, "_savez_members", lambda data: None)
+            want = _load_outcome(path)
+            monkeypatch.setattr(aligner_module, "_savez_members", direct)
+            assert got == want, (at, mask)
+            if not isinstance(got, str):
+                accepted.add((at, mask))
+                read_directly += direct(bytes(flipped)) is not None
+    # Flips in fields that zipfile ignores (time stamps, attributes) still
+    # read, most of them directly; a flip np.savez would never write goes
+    # to zipfile.
+    assert 0 < read_directly < len(accepted)
+
+
 def test_find_emissions_prefers_npz(tmp_path):
     emissions = peaked_emissions([1], vocab_size=2)
     save_emissions(emissions, tmp_path / "k1.npz")

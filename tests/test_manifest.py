@@ -7,6 +7,7 @@ import threading
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -433,6 +434,34 @@ def test_a_bare_string_is_not_a_sequence_of_tokens(tmp_path, way, name):
     with pytest.raises(SchemaError, match=f"^key 'a', field '{name}': "
                                           "expected a sequence, got str$"):
         _WAYS[way]({name: "hi"}, tmp_path)
+
+
+# A field of the wrong type is refused when the record is made, so no
+# record exists that write_manifest or read_manifest would refuse later.
+@pytest.mark.parametrize("way", ["constructor", "replace"])
+@pytest.mark.parametrize("name, value, message", [
+    ("key", 5, "^field 'key': expected string, got int$"),
+    ("language", b"en", "^key 'a', field 'language': expected string, got bytes$"),
+    ("audio_ref", None, "^key 'a', field 'audio_ref': expected string, got NoneType$"),
+    ("raw_text", None, "^key 'a', field 'raw_text': expected string, got NoneType$"),
+    ("normalized_text", 1.0, "^key 'a', field 'normalized_text': expected string, got float$"),
+    ("source", None, "^key 'a', field 'source': expected string, got NoneType$"),
+    ("duration_s", "abc", "^key 'a', field 'duration_s': expected number, got str$"),
+    ("duration_s", True, "^key 'a', field 'duration_s': expected number, got bool$"),
+    ("duration_s", np.bool_(True), "^key 'a', field 'duration_s': expected number, got bool_?$"),
+    ("duration_s", 10 ** 400, "^key 'a', field 'duration_s': integer too large for a float$"),
+], ids=["int-key", "bytes-language", "none-audio-ref", "none-raw-text", "float-normalized",
+        "none-source", "str-duration", "bool-duration", "numpy-bool-duration",
+        "overflow-duration"])
+def test_a_wrongly_typed_field_is_refused(tmp_path, way, name, value, message):
+    with pytest.raises(SchemaError, match=message):
+        _WAYS[way]({name: value}, tmp_path)
+
+
+@pytest.mark.parametrize("duration", [np.float32(2.0), np.float64(2.0), np.int64(2), 2])
+def test_numpy_real_durations_are_numbers(duration):
+    record = UtteranceRecord(**{**_VALID, "duration_s": duration})
+    assert type(record.duration_s) is float and record.duration_s == 2.0
 
 
 _ROWS = SourceAdapterSpec(source="web", field_map={"key": "id", "duration_s": "len"},

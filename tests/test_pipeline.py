@@ -1,12 +1,15 @@
+import collections
 import json
 import math
 import re
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import voxkit.manifest as manifest_module
 import voxkit.pipeline as pipeline_module
 
 from voxkit import (
@@ -22,6 +25,7 @@ from voxkit import (
     SchemaError,
     UtteranceRecord,
     WordSpan,
+    load_emissions,
     load_pipeline_config,
     load_profile,
     load_profiles,
@@ -685,6 +689,61 @@ def test_run_pipeline_rejects_corrupt_emissions(tmp_path, payload):
                 .read_text(encoding="utf-8").splitlines()]
     assert rejected == [{"key": "r1", "stage": "align",
                          "reasons": ["bad_emissions"]}]
+
+
+def test_run_pipeline_rejects_an_encrypted_archive(tmp_path):
+    records = [rec(f"r{i}", 6.0 + i, text="some gentle words in a quiet room")
+               for i in range(3)]
+    config = full_config(tmp_path, records, out_name="clean")
+    run_pipeline(config)
+    archive = bytearray((config.emissions_dir / "r1.npz").read_bytes())
+    # Bit 0 of the first central-directory entry's flags: encrypted.
+    archive[archive.index(b"PK\x01\x02") + 8] |= 0x01
+    (config.emissions_dir / "r1.npz").write_bytes(archive)
+    with pytest.raises(EmissionFormatError, match="^r1.npz: File 'log_probs.npy' is "
+                                                  "encrypted, password required"):
+        load_emissions(config.emissions_dir / "r1.npz")
+    summary = run_pipeline(replace(config, output_dir=tmp_path / "out"))
+    assert summary["rejections"] == {"bad_emissions": 1}
+    rejected = (tmp_path / "out" / "rejections.jsonl").read_text(encoding="utf-8")
+    assert rejected == '{"key": "r1", "reasons": ["bad_emissions"], "stage": "align"}\n'
+    for stage in pipeline_module.STAGES:
+        clean = (tmp_path / "clean" / f"{stage}.jsonl").read_text(
+            encoding="utf-8").splitlines()
+        if stage in ("align", "filter"):
+            clean = [line for line in clean if json.loads(line)["key"] != "r1"]
+        assert (tmp_path / "out" / f"{stage}.jsonl").read_text(
+            encoding="utf-8").splitlines() == clean
+
+
+def test_run_pipeline_encodes_each_record_once(tmp_path, monkeypatch):
+    records = [rec(f"r{i}", 4.0 + i, text="some gentle words in a quiet room")
+               for i in range(6)]
+    records.append(rec("long", 40.0, text="some gentle words in a quiet room"))
+    config = full_config(tmp_path, records, shard_count=3)
+    encode = manifest_module.record_to_line
+    calls = collections.Counter()
+    encoded = []
+
+    def counting(record):
+        calls[id(record)] += 1
+        encoded.append(record)          # keeps every id unique over the run
+        return encode(record)
+
+    monkeypatch.setattr(manifest_module, "record_to_line", counting)
+    summary = run_pipeline(config)
+    assert summary["stage_counts"]["filter"] == {"in": 7, "out": 6}
+    assert max(calls.values()) == 1
+    # normalize, romanize and align each make new records; filter and the
+    # shards write align's again.
+    assert len(calls) == 3 * len(records)
+    out = config.output_dir
+    written = [out / f"{stage}.jsonl" for stage in pipeline_module.STAGES]
+    written += sorted(out.glob("shard_*.jsonl"))
+    assert len(written) == 7
+    for path in written:
+        assert path.read_text(encoding="utf-8").splitlines() == [
+            encode(record) for record in read_manifest(path)]
 
 
 def test_run_pipeline_rejects_emissions_that_do_not_fit_the_record(tmp_path):
