@@ -38,6 +38,8 @@ class SwayParams:
     steps: int = 32
 
     def __post_init__(self):
+        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral):
+            raise ScheduleError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ScheduleError(f"steps must be at least 1, got {self.steps}")
         if not (-1.0 < self.gamma < np.inf):

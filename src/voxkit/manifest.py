@@ -10,11 +10,10 @@ millisecond values they are written with, so every record written reads back.
 
 This module is the only one that reads or writes JSON files: read_manifest
 reads manifests and adapted source rows, write_manifest writes records
-(inside a reusing_lines block, a record object it wrote before is not
-encoded again), and write_json and write_json_lines write every other JSON
-output, a dataclass instance as its fields. All of them write UTF-8 with
-sorted keys (records in canonical field order) and replace the target
-atomically.
+(a record whose line the caller passes in is not encoded again), and
+write_json and write_json_lines write every other JSON output, a dataclass
+instance as its fields. All of them write UTF-8 with sorted keys (records
+in canonical field order) and replace the target atomically.
 """
 
 from __future__ import annotations
@@ -25,10 +24,9 @@ import numbers
 import os
 import stat
 from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Iterable, Iterator, TextIO
+from typing import Any, Iterable, Iterator, Mapping, TextIO
 
 # Canonical field order for serialization. Extra fields follow, sorted by name.
 _FIELD_ORDER = (
@@ -130,14 +128,10 @@ class UtteranceRecord:
 
     def __post_init__(self):
         key = self.key if isinstance(self.key, str) else None
-        # One expression checks the text fields; the loop names the first
-        # that is not text.
-        if not (key is not None and isinstance(self.language, str)
-                and isinstance(self.audio_ref, str) and isinstance(self.raw_text, str)
-                and isinstance(self.normalized_text, str) and isinstance(self.source, str)):
-            name = next(name for name in _TEXT_FIELDS
-                        if not isinstance(getattr(self, name), str))
-            raise _type_error(name, "string", getattr(self, name), key=key)
+        for name in _TEXT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise _type_error(name, "string", value, key=key)
         # Canonicalize container types so equality is insensitive to whether
         # the caller passed lists or tuples. tuple() would split a bare
         # string into its letters, so one is refused first.
@@ -422,58 +416,17 @@ def atomic_write(path: str | Path | TextIO) -> Iterator[TextIO]:
         raise
 
 
-class LineMemo:
-    """The lines write_manifest wrote inside a reusing_lines block.
-
-    Entries map id(record) to (record, line). Holding the record keeps its
-    id from going to another object while the entry lives. A record is
-    frozen, so its line cannot change.
-    """
-
-    def __init__(self) -> None:
-        self._previous: dict[int, tuple[UtteranceRecord, str]] = {}
-        self._current: dict[int, tuple[UtteranceRecord, str]] = {}
-
-    def line(self, record: UtteranceRecord) -> str:
-        """record's line: the one kept from before the last turn, if any."""
-        entry = self._previous.get(id(record))
-        line = entry[1] if entry is not None else record_to_line(record)
-        self._current[id(record)] = (record, line)
-        return line
-
-    def turn(self) -> None:
-        """Keep the lines written since the last turn, and only those."""
-        self._previous, self._current = self._current, {}
-
-
-_LINE_MEMO: ContextVar[LineMemo | None] = ContextVar("voxkit_line_memo", default=None)
-
-
-@contextmanager
-def reusing_lines() -> Iterator[LineMemo]:
-    """A block in which write_manifest reuses lines it wrote before.
-
-    A record object that a write made before the memo's last turn wrote is
-    written with the same line again instead of being encoded anew, so the
-    bytes are the same. Only the lines written between the last two turns
-    are kept, so the memo holds the records its owner holds anyway.
-    """
-    memo = LineMemo()
-    token = _LINE_MEMO.set(memo)
-    try:
-        yield memo
-    finally:
-        _LINE_MEMO.reset(token)
-
-
-def write_manifest(records: Iterable[UtteranceRecord], path: str | Path) -> int:
+def write_manifest(records: Iterable[UtteranceRecord], path: str | Path,
+                   lines: Mapping[int, str] | None = None) -> int:
     """Write records as JSONL. Returns the number of records written.
 
     Output is byte-stable: the same records always produce the same file.
     Duplicate keys are rejected before anything is written, and the file
     is replaced atomically, so a failed write leaves the old one in place.
     A record checked itself when it was made, so none is checked again here.
-    Inside a reusing_lines block the block's memo gives each line.
+    lines maps id(record) to record_to_line(record) for records the caller
+    has encoded before and still holds, so no id can belong to another
+    object; those are written without being encoded again.
     """
     records = list(records)
     seen: set[str] = set()
@@ -481,11 +434,10 @@ def write_manifest(records: Iterable[UtteranceRecord], path: str | Path) -> int:
         if record.key in seen:
             raise DuplicateKeyError("duplicate key", key=record.key)
         seen.add(record.key)
-    memo = _LINE_MEMO.get()
-    encode = record_to_line if memo is None else memo.line
+    lines = lines or {}
     with atomic_write(path) as fh:
         for record in records:
-            fh.write(encode(record))
+            fh.write(lines.get(id(record)) or record_to_line(record))
             fh.write("\n")
     return len(records)
 

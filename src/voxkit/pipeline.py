@@ -9,17 +9,19 @@ JSON keys sorted, so reruns are byte-identical.
 from __future__ import annotations
 
 import heapq
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO, TypeVar
 
+from . import manifest
 from .aligner import (SCORE_MODES, AlignmentError, AlignmentResult,
                       EmissionFormatError, EmissionMatrix, align_grouped,
                       find_emissions, load_emissions)
 from .curate import compute_stats, stats_to_json_dict
 from .manifest import (ManifestError, SchemaError, SourceAdapterSpec,
-                       UtteranceRecord, read_manifest, reusing_lines, with_words,
+                       UtteranceRecord, read_manifest, with_words,
                        write_json, write_json_lines, write_manifest)
 from .quality import FilterConfig, QualityError, run_chain
 from .textnorm import (EmptyTextError, LanguageProfile, ProfileError,
@@ -106,12 +108,15 @@ def shard(records: Sequence[UtteranceRecord], n_shards: int) -> ShardAssignment:
 
 
 def write_shards(records: Sequence[UtteranceRecord], assignment: ShardAssignment,
-                 out_dir: Path, prefix: str = "shard_") -> None:
-    """Write each shard's records, sorted by key, to out_dir/{prefix}NNN.jsonl."""
+                 out_dir: Path, prefix: str = "shard_",
+                 lines: Mapping[int, str] | None = None) -> None:
+    """Write each shard's records, sorted by key, to out_dir/{prefix}NNN.jsonl;
+    lines, if given, is passed on to write_manifest."""
     by_key = {r.key: r for r in records}
     for index in range(assignment.n_shards):
         keys = assignment.keys_for(index)
-        write_manifest([by_key[k] for k in keys], out_dir / f"{prefix}{index:03d}.jsonl")
+        write_manifest([by_key[k] for k in keys], out_dir / f"{prefix}{index:03d}.jsonl",
+                       lines)
 
 
 # ------------------------------------------------------------ configuration
@@ -145,6 +150,9 @@ class PipelineConfig:
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, Path(value))
+        if isinstance(self.stages, str):
+            raise ConfigError(f"stages must be a sequence of stage names, not the "
+                              f"string {self.stages!r}", key="stages")
         object.__setattr__(self, "stages", tuple(self.stages))
         if self.profiles and not self.filter_config.profiles:
             object.__setattr__(self, "filter_config",
@@ -170,12 +178,12 @@ class PipelineConfig:
         if self.stages != tuple(sorted(self.stages, key=STAGES.index)):
             raise ConfigError(f"stages must run in the order {' '.join(STAGES)}, "
                               f"got {' '.join(self.stages)}", key="stages")
-        if self.shard_count < 1:
-            raise ConfigError(f"shard_count must be >= 1, got {self.shard_count}",
-                              key="shard_count")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}",
-                              key="workers")
+        for name in ("shard_count", "workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}", key=name)
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}", key=name)
 
 
 def _read_bool(value: str) -> bool:
@@ -502,32 +510,34 @@ def run_pipeline(config: PipelineConfig,
     histogram: dict[str, int] = {}
     rejections: list[Rejection] = []
 
-    # A record that survives a stage unchanged (the filter passes the very
-    # objects align made) and every sharded record is written with the line
-    # the last stage manifest holds for it, so it is encoded once per run.
-    with reusing_lines() as lines:
-        for stage in config.stages:
-            survivors, rejected = run_stage(stage, records, config)
-            for rejection in rejected:
-                for reason in rejection.reasons:
-                    histogram[reason] = histogram.get(reason, 0) + 1
-            rejections += rejected
-            stage_counts[stage] = {"in": len(records), "out": len(survivors)}
-            write_manifest(survivors, config.output_dir / f"{stage}.jsonl")
-            lines.turn()
-            note(f"{stage}: {len(records)} in, {len(survivors)} out")
-            records = survivors
+    # id(record) -> its line in the last stage manifest. A record that
+    # survives a stage unchanged (the filter passes the very objects align
+    # made) and every sharded record is written with that line, so it is
+    # encoded once per run. Each key is the id of a record that records
+    # holds, so no id can pass to another object while the dict lives.
+    lines: dict[int, str] = {}
+    for stage in config.stages:
+        survivors, rejected = run_stage(stage, records, config)
+        for rejection in rejected:
+            for reason in rejection.reasons:
+                histogram[reason] = histogram.get(reason, 0) + 1
+        rejections += rejected
+        stage_counts[stage] = {"in": len(records), "out": len(survivors)}
+        lines = {id(r): lines.get(id(r)) or manifest.record_to_line(r) for r in survivors}
+        write_manifest(survivors, config.output_dir / f"{stage}.jsonl", lines)
+        note(f"{stage}: {len(records)} in, {len(survivors)} out")
+        records = survivors
 
-        write_rejections(rejections, config.output_dir / "rejections.jsonl")
+    write_rejections(rejections, config.output_dir / "rejections.jsonl")
 
-        stats = compute_stats(records)
-        write_json(config.output_dir / "stats.json", stats_to_json_dict(stats))
+    stats = compute_stats(records)
+    write_json(config.output_dir / "stats.json", stats_to_json_dict(stats))
 
-        if config.shard_count > 1:
-            assignment = shard(records, config.shard_count)
-            write_shards(records, assignment, config.output_dir)
-            note(f"shard: {config.shard_count} shards, "
-                 f"{max(assignment.durations, default=0.0):.1f}s max")
+    if config.shard_count > 1:
+        assignment = shard(records, config.shard_count)
+        write_shards(records, assignment, config.output_dir, lines=lines)
+        note(f"shard: {config.shard_count} shards, "
+             f"{max(assignment.durations, default=0.0):.1f}s max")
 
     summary = {
         "input_records": n_input,

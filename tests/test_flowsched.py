@@ -112,6 +112,11 @@ def test_parameter_validation():
         SwayParams(steps=0)
 
 
+def test_sway_grid_takes_numpy_integer_steps():
+    assert sway_grid(SwayParams(steps=np.int64(4))).tolist() == sway_grid(
+        SwayParams(steps=4)).tolist()
+
+
 def test_schedule_table_shape_and_edges():
     rows = schedule_table(GuidanceParams(4.0), SwayParams(gamma=1.0, steps=4))
     assert len(rows) == 5

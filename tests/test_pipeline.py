@@ -262,6 +262,32 @@ def test_config_requires_stages_in_pipeline_order(tmp_path):
         "normalize", "align")
 
 
+# Each row was accepted, or failed with a bare TypeError or a misleading
+# message, before the types were checked.
+@pytest.mark.parametrize("setting, message", [
+    ({"shard_count": 2.5}, "^shard_count must be an integer, got 2.5$"),
+    ({"shard_count": True}, "^shard_count must be an integer, got True$"),
+    ({"shard_count": "3"}, "^shard_count must be an integer, got '3'$"),
+    ({"workers": 2.5}, "^workers must be an integer, got 2.5$"),
+    ({"workers": "2"}, "^workers must be an integer, got '2'$"),
+    ({"stages": "normalize"},
+     "^stages must be a sequence of stage names, not the string 'normalize'$"),
+], ids=["float-shards", "bool-shards", "text-shards", "float-workers",
+        "text-workers", "text-stages"])
+def test_config_refuses_wrongly_typed_settings(tmp_path, setting, message):
+    paths = dict(input_path=tmp_path / "in.jsonl", output_dir=tmp_path / "out")
+    with pytest.raises(ConfigError, match=message) as err:
+        PipelineConfig(**{"stages": ("normalize",), **setting}, **paths)
+    assert err.value.key == next(iter(setting))
+
+
+def test_config_takes_numpy_integer_counts(tmp_path):
+    config = PipelineConfig(input_path=tmp_path / "in.jsonl", output_dir=tmp_path / "out",
+                            stages=("normalize",), shard_count=np.int64(3),
+                            workers=np.uint8(2))
+    assert (config.shard_count, config.workers) == (3, 2)
+
+
 def _profile_text(**changes):
     fields = {"language": "en", "rules": "en", "min_ratio": "1.0",
               "max_ratio": "5.0", "ranges": "0061-007A"}
@@ -741,6 +767,37 @@ def test_run_pipeline_encodes_each_record_once(tmp_path, monkeypatch):
     written = [out / f"{stage}.jsonl" for stage in pipeline_module.STAGES]
     written += sorted(out.glob("shard_*.jsonl"))
     assert len(written) == 7
+    for path in written:
+        assert path.read_text(encoding="utf-8").splitlines() == [
+            encode(record) for record in read_manifest(path)]
+
+
+@pytest.mark.parametrize("n_stages", range(len(pipeline_module.STAGES) + 1))
+def test_each_stage_prefix_encodes_each_record_once(tmp_path, monkeypatch, n_stages):
+    # Whatever stage runs last, and whether it made new records or passed
+    # its input on, the shards reuse the lines of its manifest; with no
+    # stage at all they encode the input records.
+    stages = pipeline_module.STAGES[:n_stages]
+    records = [rec(f"r{i}", 4.0 + i, text="some gentle words in a quiet room")
+               for i in range(6)]
+    records.append(rec("long", 40.0, text="some gentle words in a quiet room"))
+    config = full_config(tmp_path, records, stages=stages, shard_count=3)
+    encode = manifest_module.record_to_line
+    calls = collections.Counter()
+    encoded = []
+
+    def counting(record):
+        calls[id(record)] += 1
+        encoded.append(record)          # keeps every id unique over the run
+        return encode(record)
+
+    monkeypatch.setattr(manifest_module, "record_to_line", counting)
+    run_pipeline(config)
+    assert calls and max(calls.values()) == 1
+    out = config.output_dir
+    written = [out / f"{stage}.jsonl" for stage in stages]
+    written += sorted(out.glob("shard_*.jsonl"))
+    assert len(written) == n_stages + 3
     for path in written:
         assert path.read_text(encoding="utf-8").splitlines() == [
             encode(record) for record in read_manifest(path)]

@@ -123,11 +123,15 @@ _ADAPTER = SourceAdapterSpec(source="web", defaults={"language": "en",
      "^uncond must be real numbers, not bool$"),
     (lambda: cfg_combine(np.ones(2), np.zeros(2), 1j), ScheduleError,
      r"^g must be a real number, got 1j$"),
+    (lambda: SwayParams(steps=2.5), ScheduleError, r"^steps must be an integer, got 2.5$"),
+    (lambda: SwayParams(steps=True), ScheduleError, r"^steps must be an integer, got True$"),
+    (lambda: SwayParams(steps="3"), ScheduleError, r"^steps must be an integer, got '3'$"),
 ], ids=["emissions-ndim", "emissions-columns", "emissions-duplicate-vocab",
         "emissions-vocab-too-short", "wrong-string-type", "empty-key",
         "empty-language", "adapt-text-duration", "adapt-list-duration",
         "penalty-complex-logits", "penalty-text-logits", "penalty-bool-logits",
-        "cfg-complex-cond", "cfg-text-cond", "cfg-bool-uncond", "cfg-complex-g"])
+        "cfg-complex-cond", "cfg-text-cond", "cfg-bool-uncond", "cfg-complex-g",
+        "sway-float-steps", "sway-bool-steps", "sway-text-steps"])
 def test_refusals_at_entry(make, error, message):
     with pytest.raises(error, match=message):
         make()
