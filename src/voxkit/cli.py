@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import editctl, flowsched
@@ -72,22 +72,6 @@ def _given(args, *options: str, **renamed: str) -> dict:
             if getattr(args, option) is not None}
 
 
-@contextmanager
-def _second_output(path: str | None):
-    """The open temp file of an optional second output, or None without one.
-
-    A command writes the second output into it and then its main output
-    inside the block, so both files are written in full before either is
-    renamed: a second output that cannot be written stops the main one, and
-    a main output that fails leaves the second as it was.
-    """
-    if not path:
-        yield None
-        return
-    with atomic_write(path) as fh:
-        yield fh
-
-
 # ---------------------------------------------------------------- commands
 
 def _cmd_ingest(args) -> int:
@@ -121,7 +105,7 @@ def _run_stages(args, stages: tuple[str, ...], *, skip_failed: bool = False,
         if errors and not skip_failed:
             raise errors[0]
         rejections += rejected
-    with _second_output(rejects) as fh:
+    with atomic_write(rejects) if rejects else nullcontext() as fh:
         if fh is not None:
             write_rejections(rejections, fh)
         count = write_manifest(records, args.output)
@@ -185,7 +169,7 @@ def _cmd_curate_eval(args) -> int:
     selections = {language: select_eval(pools[language], criteria)
                   for language in sorted(pools)}
     selected = [record for chosen in selections.values() for record in chosen]
-    with _second_output(args.trims) as fh:
+    with atomic_write(args.trims) if args.trims else nullcontext() as fh:
         if fh is not None:
             write_json_lines(fh, trims)
         count = write_manifest(selected, args.output)
@@ -294,7 +278,7 @@ def _cmd_stitch(args) -> int:
                                       f"expected {rate}")
         segments.append(samples)
     out, plan = editctl.stitch(segments, rate, args.fade_s, args.overlap_s)
-    with _second_output(args.plan) as fh:
+    with atomic_write(args.plan) if args.plan else nullcontext() as fh:
         if fh is not None:
             write_json(fh, plan)
         write_wav(args.output, out, rate)
@@ -309,47 +293,54 @@ def build_parser() -> _Parser:
                      description="Corpus curation and generation control "
                                  "for speech synthesis pipelines.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    # The options several commands take: name -> (other names, settings).
+    shared = {
+        "--input": (("-i",), {"required": True}),
+        "--output": (("-o",), {"required": True}),
+        "--output-dir": (("-o",), {"required": True}),
+        "--profiles": ((), {"help": "directory of language profiles; the "
+                                    "languages it holds are the ones accepted"}),
+    }
 
-    def add(name, fn, help_text):
+    def share(p, *options):
+        for option in options:
+            aliases, settings = shared[option]
+            p.add_argument(option, *aliases, **settings)
+
+    def add(name, fn, help_text, *options):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
+        share(p, *options)
         return p
 
-    p = add("ingest", _cmd_ingest, "convert source rows to a manifest")
-    p.add_argument("--input", "-i", required=True)
-    p.add_argument("--output", "-o", required=True)
+    p = add("ingest", _cmd_ingest, "convert source rows to a manifest",
+            "--input", "--output")
     p.add_argument("--source", help="source tag for adapted rows")
     p.add_argument("--map", action="append", default=[], metavar="FIELD=KEY",
                    help="manifest field taken from this source key")
     p.add_argument("--default", action="append", default=[],
                    metavar="FIELD=VALUE", help="constant manifest field")
 
-    p = add("normalize", _cmd_normalize, "normalize and romanize transcripts")
-    p.add_argument("--input", "-i", required=True)
-    p.add_argument("--output", "-o", required=True)
-    p.add_argument("--profiles", help="directory of language profiles; the "
-                   "languages it holds are the ones accepted")
+    p = add("normalize", _cmd_normalize, "normalize and romanize transcripts",
+            "--input", "--output", "--profiles")
     p.add_argument("--no-romanize", action="store_true")
     p.add_argument("--split-zh-chars", action="store_true",
                    help="one romanized token per CJK character")
     p.add_argument("--skip-failed", action="store_true",
                    help="drop records that fail instead of aborting")
 
-    p = add("align", _cmd_align, "force-align words against emissions")
-    p.add_argument("--input", "-i", required=True)
-    p.add_argument("--output", "-o", required=True)
+    p = add("align", _cmd_align, "force-align words against emissions",
+            "--input", "--output")
     p.add_argument("--emissions", required=True,
                    help="directory of per-key emission files")
     p.add_argument("--score-mode", choices=SCORE_MODES)
     p.add_argument("--skip-failed", action="store_true",
                    help="drop unalignable records instead of aborting")
 
-    p = add("filter", _cmd_filter, "apply the quality filter chain")
-    p.add_argument("--input", "-i", required=True)
-    p.add_argument("--output", "-o", required=True)
+    p = add("filter", _cmd_filter, "apply the quality filter chain",
+            "--input", "--output")
     p.add_argument("--rejects", help="write rejected keys and reasons here")
-    p.add_argument("--profiles", help="directory of language profiles; the "
-                   "languages it holds are the ones accepted")
+    share(p, "--profiles")
     p.add_argument("--min-duration-s", type=float)
     p.add_argument("--max-duration-s", type=float)
     p.add_argument("--max-gap-s", type=float)
@@ -359,14 +350,12 @@ def build_parser() -> _Parser:
                         "language.L=V, or pair.S.L=V")
 
     p = add("fit-bounds", _cmd_fit_bounds,
-            "fit speech-rate bounds from percentiles")
-    p.add_argument("--input", "-i", required=True)
+            "fit speech-rate bounds from percentiles", "--input")
     p.add_argument("--language", "-l", required=True)
     p.add_argument("--percentile", type=float)
 
-    p = add("curate-eval", _cmd_curate_eval, "build the evaluation subset")
-    p.add_argument("--input", "-i", required=True)
-    p.add_argument("--output", "-o", required=True)
+    p = add("curate-eval", _cmd_curate_eval, "build the evaluation subset",
+            "--input", "--output")
     p.add_argument("--trims", help="write duration trim instructions here")
     p.add_argument("--min-confidence", type=float)
     p.add_argument("--min-words", type=int)
@@ -375,13 +364,11 @@ def build_parser() -> _Parser:
     p.add_argument("--trailing-silence-s", type=float)
     p.add_argument("--target", type=int, help="records to keep per language")
 
-    p = add("stats", _cmd_stats, "per-language corpus statistics")
-    p.add_argument("--input", "-i", required=True)
+    p = add("stats", _cmd_stats, "per-language corpus statistics", "--input")
     p.add_argument("--json", action="store_true")
 
-    p = add("shard", _cmd_shard, "split a manifest into balanced shards")
-    p.add_argument("--input", "-i", required=True)
-    p.add_argument("--output-dir", "-o", required=True)
+    p = add("shard", _cmd_shard, "split a manifest into balanced shards",
+            "--input", "--output-dir")
     p.add_argument("--shards", "-n", type=int, required=True)
     p.add_argument("--prefix")
 
@@ -405,7 +392,7 @@ def build_parser() -> _Parser:
 
     p = add("stitch", _cmd_stitch, "cross-fade overlapping audio chunks")
     p.add_argument("--inputs", nargs="+", required=True)
-    p.add_argument("--output", "-o", required=True)
+    share(p, "--output")
     p.add_argument("--overlap-s", type=float, required=True)
     p.add_argument("--fade-s", type=float, default=0.01)
     p.add_argument("--plan", help="write the splice plan JSON here")

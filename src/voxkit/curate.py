@@ -13,7 +13,7 @@ import unicodedata
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .manifest import UtteranceRecord
+from .manifest import UtteranceRecord, is_integer, is_real
 from .textnorm import char_ratio
 
 
@@ -37,6 +37,16 @@ class EvalCriteria:
     target_per_language: int = 500
 
     def __post_init__(self):
+        for name, test, kind in (
+                ("min_confidence", is_real, "a real number"),
+                ("min_words", is_integer, "an integer"),
+                ("min_duration_s", is_real, "a real number"),
+                ("max_duration_s", is_real, "a real number"),
+                ("trailing_silence_s", is_real, "a real number"),
+                ("target_per_language", is_integer, "an integer")):
+            value = getattr(self, name)
+            if not test(value):
+                raise CurationError(f"{name} must be {kind}, got {value!r}")
         if not (0 <= self.min_confidence <= 1):
             raise CurationError(f"min_confidence {self.min_confidence} outside [0, 1]")
         if not (0 < self.min_duration_s < self.max_duration_s):

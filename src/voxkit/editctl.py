@@ -17,6 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .manifest import is_integer, is_real
+
 # A retry fires when the output is shorter than this fraction of the
 # expected frame count for the text.
 SHORTFALL_FRACTION = 0.5
@@ -34,6 +36,13 @@ class StitchError(EditControlError):
     pass
 
 
+def _require(test, kind: str, **values) -> None:
+    """EditControlError naming the first of values that test refuses."""
+    for name, value in values.items():
+        if not test(value):
+            raise EditControlError(f"{name} must be {kind}, got {value!r}")
+
+
 # ---------------------------------------------------------------- penalty
 
 @dataclass(frozen=True)
@@ -47,6 +56,7 @@ class PenaltyParams:
     repetition_penalty: float = 1.0
 
     def __post_init__(self):
+        _require(is_real, "a real number", repetition_penalty=self.repetition_penalty)
         if not (0 <= self.repetition_penalty < np.inf):
             raise EditControlError(f"repetition_penalty must be finite and "
                                    f"non-negative, got {self.repetition_penalty}")
@@ -142,6 +152,10 @@ class RegenController:
     max_rounds: int = 3
 
     def __post_init__(self):
+        _require(is_real, "a real number", avg_speed=self.avg_speed)
+        _require(is_integer, "an integer", target_tokens=self.target_tokens,
+                 mask_start=self.mask_start, mask_end=self.mask_end,
+                 round=self.round, max_rounds=self.max_rounds)
         if not (self.target_tokens > 0 and 0 < self.expected_frames < np.inf):
             raise EditControlError("avg_speed and target_tokens must be positive "
                                    "and their product finite")
@@ -222,6 +236,8 @@ def chunk(duration_s: float, max_chunk_s: float,
     Adjacent intervals overlap by exactly overlap_s; a final shorter chunk
     absorbs the remainder.
     """
+    _require(is_real, "a real number", duration_s=duration_s, max_chunk_s=max_chunk_s,
+             overlap_s=overlap_s)
     if not (0 < duration_s < np.inf):
         raise EditControlError(f"duration must be finite and positive, got {duration_s}")
     if not (0 < overlap_s < max_chunk_s):
@@ -279,12 +295,12 @@ def stitch(segments: Sequence[np.ndarray], sample_rate: int, fade_s: float,
            overlap_s: float | Sequence[float]) -> tuple[np.ndarray, StitchPlan]:
     """Join overlapping segments into one waveform.
 
-    ``overlap_s`` gives the overlap between each adjacent pair (one value for
-    all pairs or a sequence with one entry per boundary). Within each
-    overlap the splice lands on the zero crossing of the earlier segment
-    nearest the overlap midpoint, and a linear cross-fade of ``fade_s``
-    blends the two sides; everything outside the fade windows is copied
-    sample-exact from its source segment.
+    ``overlap_s`` gives the overlap between each adjacent pair (one real
+    number for all pairs or a sequence with one entry per boundary).
+    Within each overlap the splice lands on the zero crossing of the
+    earlier segment nearest the overlap midpoint, and a linear cross-fade
+    of ``fade_s`` blends the two sides; everything outside the fade windows
+    is copied sample-exact from its source segment.
     """
     if not segments:
         raise StitchError("need at least one segment")
@@ -299,13 +315,14 @@ def stitch(segments: Sequence[np.ndarray], sample_rate: int, fade_s: float,
         raise StitchError(f"sample_rate must be positive, got {sample_rate}")
 
     n_boundaries = len(arrays) - 1
-    if isinstance(overlap_s, (int, float)):
-        overlaps_s = [float(overlap_s)] * n_boundaries
-    else:
-        overlaps_s = [float(v) for v in overlap_s]
-        if len(overlaps_s) != n_boundaries:
-            raise StitchError(f"{n_boundaries} boundaries but "
-                              f"{len(overlaps_s)} overlap values")
+    if is_real(overlap_s):
+        overlap_s = [overlap_s] * n_boundaries
+    if not (isinstance(overlap_s, (Sequence, np.ndarray)) and all(map(is_real, overlap_s))):
+        raise StitchError(f"overlap_s must be a real number or a sequence of them, "
+                          f"got {overlap_s!r}")
+    overlaps_s = [float(v) for v in overlap_s]
+    if len(overlaps_s) != n_boundaries:
+        raise StitchError(f"{n_boundaries} boundaries but {len(overlaps_s)} overlap values")
     if not (np.isfinite(fade_s) and fade_s >= 0 and np.isfinite(overlaps_s).all()):
         raise StitchError(f"fade_s must be finite and >= 0 and every overlap finite, "
                           f"got fade_s={fade_s}, overlap_s={overlaps_s}")

@@ -8,10 +8,11 @@ more steps land where they help; larger bias pushes interior points earlier.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .manifest import is_integer, is_real
 
 
 class ScheduleError(ValueError):
@@ -25,6 +26,8 @@ class GuidanceParams:
     strength: float = 5.0
 
     def __post_init__(self):
+        if not is_real(self.strength):
+            raise ScheduleError(f"strength must be a real number, got {self.strength!r}")
         if not (0 <= self.strength < np.inf):
             raise ScheduleError(f"strength must be finite and non-negative, "
                                 f"got {self.strength}")
@@ -38,10 +41,12 @@ class SwayParams:
     steps: int = 32
 
     def __post_init__(self):
-        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral):
+        if not is_integer(self.steps):
             raise ScheduleError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ScheduleError(f"steps must be at least 1, got {self.steps}")
+        if not is_real(self.gamma):
+            raise ScheduleError(f"gamma must be a real number, got {self.gamma!r}")
         if not (-1.0 < self.gamma < np.inf):
             raise ScheduleError(f"gamma must be finite and exceed -1, got {self.gamma}")
 
@@ -60,7 +65,7 @@ def cfg_combine(cond, uncond, g: float) -> np.ndarray:
 
     Computes ``cond + g * (cond - uncond)`` elementwise in float64; a scalar
     pair gives a float64 scalar. The operands must be real numbers (integers
-    or floats) of identical shapes, and ``g`` a real number.
+    or floats) of identical shapes, and ``g`` a real number that is not a bool.
     """
     cond = np.asarray(cond)
     uncond = np.asarray(uncond)
@@ -69,7 +74,7 @@ def cfg_combine(cond, uncond, g: float) -> np.ndarray:
             raise ScheduleError(f"{name} must be real numbers, not {operand.dtype}")
     if cond.shape != uncond.shape:
         raise ScheduleError(f"shape mismatch: {cond.shape} vs {uncond.shape}")
-    if not isinstance(g, numbers.Real):
+    if not is_real(g):
         raise ScheduleError(f"g must be a real number, got {g!r}")
     # Plain temporaries on purpose. Computing into one array in place saved
     # little, since a caller that keeps every result pays for its fresh

@@ -9,7 +9,6 @@ JSON keys sorted, so reruns are byte-identical.
 from __future__ import annotations
 
 import heapq
-import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -20,8 +19,8 @@ from .aligner import (SCORE_MODES, AlignmentError, AlignmentResult,
                       EmissionFormatError, EmissionMatrix, align_grouped,
                       find_emissions, load_emissions)
 from .curate import compute_stats, stats_to_json_dict
-from .manifest import (ManifestError, SchemaError, SourceAdapterSpec,
-                       UtteranceRecord, read_manifest, with_words,
+from .manifest import (AdapterError, ManifestError, SchemaError, SourceAdapterSpec,
+                       UtteranceRecord, is_integer, read_manifest, with_words,
                        write_json, write_json_lines, write_manifest)
 from .quality import FilterConfig, QualityError, run_chain
 from .textnorm import (EmptyTextError, LanguageProfile, ProfileError,
@@ -180,7 +179,7 @@ class PipelineConfig:
                               f"got {' '.join(self.stages)}", key="stages")
         for name in ("shard_count", "workers"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not is_integer(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}", key=name)
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}", key=name)
@@ -316,14 +315,14 @@ def load_pipeline_config(path: str | Path,
         raise ConfigError(f"input manifest {pipeline_kwargs['input_path']} does "
                           f"not exist", line_of["input"])
 
-    if adapter_map or adapter_defaults or adapter_source:
-        if not adapter_source:
-            raise ConfigError("adapter.map.* given without adapter.source")
-        pipeline_kwargs["adapter"] = SourceAdapterSpec(
-            source=adapter_source, field_map=adapter_map,
-            defaults=adapter_defaults)
+    if (adapter_map or adapter_defaults) and not adapter_source:
+        raise ConfigError("adapter.map.* given without adapter.source")
 
     try:
+        if adapter_source:
+            pipeline_kwargs["adapter"] = SourceAdapterSpec(
+                source=adapter_source, field_map=adapter_map,
+                defaults=adapter_defaults)
         profiles = load_profiles(**settings[load_profiles], profiles_dir=profiles_dir)
         filter_config = FilterConfig(profiles=profiles, **settings[FilterConfig])
         return PipelineConfig(filter_config=filter_config, **pipeline_kwargs)
@@ -331,6 +330,13 @@ def load_pipeline_config(path: str | Path,
         raise ConfigError(str(exc), line_of.get(exc.key), key=exc.key) from None
     except ProfileError as exc:
         raise ConfigError(str(exc), line_of.get("languages")) from exc
+    except AdapterError as exc:
+        # A field no adapter fills is refused on its own line; a required
+        # field that nothing reaches, on the adapter's.
+        key = next((key for key in (f"adapter.map.{exc.field_name}",
+                                    f"adapter.default.{exc.field_name}")
+                    if key in line_of), "adapter.source")
+        raise ConfigError(str(exc), line_of[key], key=key) from None
 
 
 # ---------------------------------------------------------------- stages
@@ -464,20 +470,37 @@ def _run_record(stage: str, fn: Callable[[UtteranceRecord, PipelineConfig], T],
         raise PipelineStageError(stage, record.key, str(exc)) from exc
 
 
+def _drop_tracebacks(error: BaseException | None) -> None:
+    """Clear the traceback of error and of every error in its __cause__ and
+    __context__ chain, so a kept error holds no stack frame or its locals
+    (such as the bytes of an archive that failed to load)."""
+    pending, seen = [error], set()
+    while pending:
+        error = pending.pop()
+        if error is not None and id(error) not in seen:
+            seen.add(id(error))
+            error.__traceback__ = None
+            pending += (error.__cause__, error.__context__)
+
+
 def run_stage(stage: str, records: list[UtteranceRecord], config: PipelineConfig
               ) -> tuple[list[UtteranceRecord], list[Rejection]]:
     """Run one stage over records: its survivors and its rejections, in input order.
 
     A record the stage cannot handle for a reason that is not a rejection
-    raises PipelineStageError.
+    raises PipelineStageError. The error of a rejection, and every error it
+    chains to, comes back without its traceback.
     """
     if stage == "align":
         outcomes = _stage_align(records, config)
     else:
         fn = _STAGE_FNS[stage]
         outcomes = [_run_record(stage, fn, record, config) for record in records]
+    rejections = [outcome for outcome in outcomes if isinstance(outcome, Rejection)]
+    for rejection in rejections:
+        _drop_tracebacks(rejection.error)
     return ([outcome for outcome in outcomes if not isinstance(outcome, Rejection)],
-            [outcome for outcome in outcomes if isinstance(outcome, Rejection)])
+            rejections)
 
 
 def write_rejections(rejections: Iterable[Rejection],

@@ -197,6 +197,25 @@ def test_ingest_map_without_source(tmp_path):
                  str(tmp_path / "o.jsonl"), "--map", "key=id"]) == 1
 
 
+def test_ingest_map_needs_key_value(tmp_path, capsys):
+    src = manifest_of(tmp_path, [rec("a")])
+    assert main(["ingest", "-i", str(src), "-o", str(tmp_path / "o.jsonl"),
+                 *_ADAPT_LEN, "--map", "key"]) == 1
+    assert "error: --map expects KEY=VALUE, got 'key'" in capsys.readouterr().err
+
+
+def test_ingest_refuses_an_adapter_field_it_would_drop(tmp_path, capsys):
+    # The default was dropped without a word; it is now refused before any row
+    # is read.
+    src = manifest_of(tmp_path, [rec("a")])
+    out = tmp_path / "o.jsonl"
+    assert main(["ingest", "-i", str(src), "-o", str(out), *_ADAPT_LEN,
+                 "--default", "speaker=x"]) == 2
+    assert ("data error: field 'speaker': not a field an adapter fills"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 # -------------------------------------------------------------- normalize
 
 def test_normalize_writes_tokens(tmp_path):

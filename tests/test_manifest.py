@@ -247,10 +247,18 @@ def test_adapter_maps_and_defaults():
     assert record.raw_text == "Guten Tag"
 
 
+def test_adapter_turns_other_values_of_text_fields_into_strings():
+    spec = SourceAdapterSpec(source="web", field_map={"key": "id", "raw_text": "text"},
+                             defaults={"language": "en", "audio_ref": "a.wav",
+                                       "duration_s": 1.0})
+    record = adapt({"id": 7, "text": 42}, spec)
+    assert (record.key, record.raw_text) == ("7", "42")
+
+
 def test_adapter_missing_required_field():
-    spec = SourceAdapterSpec(source="x", field_map={"key": "id"}, defaults={})
+    # The spec refuses itself when it is made, before any row is adapted.
     with pytest.raises(AdapterError) as err:
-        adapt({"id": "a"}, spec)
+        SourceAdapterSpec(source="x", field_map={"key": "id"}, defaults={})
     assert "language" in str(err.value) or "audio_ref" in str(err.value)
 
 

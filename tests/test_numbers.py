@@ -20,7 +20,9 @@ SPOT_VALUES = [
     ("de", 21, "einundzwanzig"),
     ("de", 231, "zweihunderteinunddreißig"),
     ("de", 1001, "eintausendeins"),
+    ("fr", 21, "vingt et un"),
     ("fr", 71, "soixante et onze"),
+    ("fr", 72, "soixante douze"),
     ("fr", 80, "quatre vingts"),
     ("fr", 81, "quatre vingt un"),
     ("fr", 91, "quatre vingt onze"),
@@ -33,6 +35,7 @@ SPOT_VALUES = [
     ("es", 101, "ciento uno"),
     ("es", 500, "quinientos"),
     ("es", 21000, "veintiún mil"),
+    ("es", 31000, "treinta y un mil"),
     ("pt", 16, "dezesseis"),
     ("pt", 101, "cento e um"),
     ("pt", 1100, "mil e cem"),
@@ -46,16 +49,20 @@ SPOT_VALUES = [
     ("ru", 1000, "одна тысяча"),
     ("ru", 2000, "две тысячи"),
     ("ru", 5000, "пять тысяч"),
+    ("ru", 11000, "одиннадцать тысяч"),
     ("ru", 21000, "двадцать одна тысяча"),
     ("zh", 0, "零"),
     ("zh", 11, "十一"),
     ("zh", 105, "一百零五"),
     ("zh", 110, "一百一十"),
     ("zh", 2024, "二千零二十四"),
+    ("zh", 10000, "一万"),
     ("zh", 100005, "十万零五"),
+    ("id", 10, "sepuluh"),
     ("id", 11, "sebelas"),
     ("id", 15, "lima belas"),
     ("id", 1100, "seribu seratus"),
+    ("vi", 10, "mười"),
     ("vi", 15, "mười lăm"),
     ("vi", 21, "hai mươi mốt"),
     ("vi", 25, "hai mươi lăm"),

@@ -159,7 +159,9 @@ score_mode = arithmetic
 adapter.source = yt
 adapter.map.key = id
 adapter.map.raw_text = text
+adapter.map.duration_s = len
 adapter.default.language = en
+adapter.default.audio_ref = a.wav
 """
     config = load_pipeline_config(write_config(tmp_path, body))
     assert config.input_path == (tmp_path / "in.jsonl").resolve()
@@ -180,8 +182,9 @@ adapter.default.language = en
     assert set(fc.profiles) == {"en", "zh"}
     assert set(config.profiles) == {"en", "zh"}
     assert config.adapter.source == "yt"
-    assert config.adapter.field_map == {"key": "id", "raw_text": "text"}
-    assert config.adapter.defaults == {"language": "en"}
+    assert config.adapter.field_map == {"key": "id", "raw_text": "text",
+                                        "duration_s": "len"}
+    assert config.adapter.defaults == {"language": "en", "audio_ref": "a.wav"}
 
 
 def test_config_defaults(tmp_path):
@@ -192,6 +195,12 @@ def test_config_defaults(tmp_path):
     assert config.score_mode == "geometric"
     assert config.adapter is None
     assert len(config.profiles) == 10
+
+
+# An adapter that reaches every required field, on lines 3-8 of a config.
+_ADAPTER_CONF = ("adapter.source = web\nadapter.map.key = id\nadapter.map.raw_text = text\n"
+                 "adapter.map.duration_s = len\nadapter.default.language = en\n"
+                 "adapter.default.audio_ref = a.wav\n")
 
 
 def test_config_errors_carry_line_numbers(tmp_path):
@@ -213,6 +222,14 @@ def test_config_errors_carry_line_numbers(tmp_path):
          "line 4: duplicate key 'threshold.source.web'"),
         ("adapter.source = web\nadapter.map.key = key\nadapter.map.key = id\n",
          "line 5: duplicate key 'adapter.map.key'"),
+        # An adapter that cannot make a record is refused on the line that
+        # breaks it, or on adapter.source when a required field is unreached.
+        (f"{_ADAPTER_CONF}adapter.map.dur = len\n",
+         "line 9: field 'dur': not a field an adapter fills"),
+        (f"{_ADAPTER_CONF}adapter.default.speaker = x\n",
+         "line 9: field 'speaker': not a field an adapter fills"),
+        ("adapter.source = web\nadapter.map.key = id\n",
+         "line 3: field 'language': no mapping or default for required field"),
         ("stages = filter align\n", "emissions_dir"),
         # Errors about a setting's value name the line it was set on.
         ("stages = filter\nshard_count = 0\n",
@@ -1026,3 +1043,36 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     assert summary["output_records"] == 2
     assert len(list(out.glob("shard_*.jsonl"))) == 8
+
+
+def _error_chain(error):
+    """error and every error it chains to through __cause__ or __context__."""
+    chain, pending = [], [error]
+    while pending:
+        error = pending.pop()
+        if error is not None and all(error is not seen for seen in chain):
+            chain.append(error)
+            pending += (error.__cause__, error.__context__)
+    return chain
+
+
+def test_rejections_keep_no_stack_frames(tmp_path):
+    # A kept traceback keeps every frame on it alive, with its locals: for a
+    # corrupt archive, the bytes that failed to load.
+    records = [rec("r0", 6.0, text="some gentle words in a quiet room"),
+               rec("blank", 5.0, text="   "),
+               rec("greek", 5.0, text="αβγ δεζ ηθι κλμ")]
+    config = full_config(tmp_path, records)
+    (config.emissions_dir / "r0.npz").write_bytes(b"PK\x03\x04" + bytes(1_000_000))
+    rejections = []
+    for stage in ("normalize", "romanize", "align"):
+        records, rejected = pipeline_module.run_stage(stage, records, config)
+        rejections += rejected
+    assert [(r.stage, r.key, r.reasons) for r in rejections] == [
+        ("normalize", "blank", ("empty_text",)),
+        ("romanize", "greek", ("unmappable_char",)),
+        ("align", "r0", ("bad_emissions",))]
+    assert len(_error_chain(rejections[-1].error)) > 1
+    for rejection in rejections:
+        chain = _error_chain(rejection.error)
+        assert [e.__traceback__ for e in chain] == [None] * len(chain), rejection.key
