@@ -19,10 +19,13 @@ simple whitespace-separated text format with a one-line header.
 
 from __future__ import annotations
 
+import errno
 import functools
 import io
 import itertools
 import math
+import os
+import stat
 import struct
 import warnings
 import zipfile
@@ -45,6 +48,8 @@ _ROW_NORM_TOL = 1e-3
 
 _TEXT_SUFFIX = ".emit"
 _NPZ_SUFFIX = ".npz"
+# The stat errors that mean "no such file" to find_emissions, as to Path.is_file.
+_ABSENT_ERRNOS = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
 
 # np.load reads a file as an archive only if it opens with a zip entry or
 # is an empty zip.
@@ -698,13 +703,20 @@ def find_emissions(directory: str | Path, key: str) -> Path | None:
     absolute or holds a ``..`` part would resolve outside ``directory``, so
     it raises AlignmentError.
     """
-    key_path = Path(key)
-    if key_path.is_absolute() or ".." in key_path.parts:
+    if os.path.isabs(key) or ".." in key.split("/"):
         raise AlignmentError(f"key {key!r} is absolute or holds '..', so it "
                              f"would resolve outside {directory}")
-    directory = Path(directory)
+    # One stat per suffix on a string path: listing the directory instead
+    # costs more than the stats of a whole batch.
+    stem = os.path.join(directory, key)
     for suffix in (_NPZ_SUFFIX, _TEXT_SUFFIX):
-        candidate = directory / f"{key}{suffix}"
-        if candidate.is_file():
-            return candidate
+        candidate = stem + suffix
+        try:
+            if stat.S_ISREG(os.stat(candidate).st_mode):
+                return Path(candidate)
+        except OSError as exc:
+            if exc.errno not in _ABSENT_ERRNOS:
+                raise
+        except ValueError:  # a NUL in the key names no file
+            pass
     return None

@@ -36,11 +36,12 @@ class StitchError(EditControlError):
     pass
 
 
-def _require(test, kind: str, **values) -> None:
-    """EditControlError naming the first of values that test refuses."""
+def _require(test, kind: str, error: type[EditControlError] = EditControlError, /,
+             **values) -> None:
+    """error naming the first of values that test refuses."""
     for name, value in values.items():
         if not test(value):
-            raise EditControlError(f"{name} must be {kind}, got {value!r}")
+            raise error(f"{name} must be {kind}, got {value!r}")
 
 
 # ---------------------------------------------------------------- penalty
@@ -175,6 +176,9 @@ class GenerationOutcome:
 
     generated_frames: int
     re_gen_flag: bool = False
+
+    def __post_init__(self):
+        _require(is_integer, "an integer", generated_frames=self.generated_frames)
 
 
 ACCEPT = "accept"
@@ -311,6 +315,8 @@ def stitch(segments: Sequence[np.ndarray], sample_rate: int, fade_s: float,
     dtype = arrays[0].dtype
     if any(arr.dtype != dtype for arr in arrays):
         raise StitchError("segments must share one sample dtype")
+    _require(is_integer, "an integer", StitchError, sample_rate=sample_rate)
+    _require(is_real, "a real number", StitchError, fade_s=fade_s)
     if sample_rate <= 0:
         raise StitchError(f"sample_rate must be positive, got {sample_rate}")
 

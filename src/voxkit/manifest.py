@@ -341,26 +341,52 @@ def read_manifest(path: str | Path,
     file; this is the one place that gives an error its 1-based line number.
     """
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
                 try:
-                    obj = json.loads(line)
-                except ValueError as exc:  # also an integer literal past int's digit limit
-                    raise SchemaError(f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
-                if adapter is None:
-                    record = record_from_json_dict(obj)
-                else:
-                    record = adapt(obj, adapter)
-                if record.key in seen:
-                    raise DuplicateKeyError("duplicate key", key=record.key)
-            except ManifestError as exc:
-                exc.line_no = line_no
-                raise
-            seen.add(record.key)
-            yield record
+                    try:
+                        obj = json.loads(line)
+                    except ValueError as exc:  # also an integer literal past int's digit limit
+                        raise SchemaError(f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
+                    if adapter is None:
+                        record = record_from_json_dict(obj)
+                    else:
+                        record = adapt(obj, adapter)
+                    if record.key in seen:
+                        raise DuplicateKeyError("duplicate key", key=record.key)
+                except ManifestError as exc:
+                    exc.line_no = line_no
+                    raise
+                seen.add(record.key)
+                yield record
+    except UnicodeDecodeError:
+        # Only the file's reader raises this; find the line now, so that
+        # reading good input costs nothing.
+        raise _undecodable(path) from None
+
+
+def _undecodable(path: str | Path) -> SchemaError:
+    """SchemaError naming the first byte of a file that is not UTF-8 and its
+    line, counted as text-mode reading counts lines."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        error = SchemaError(not_utf8(exc))
+        head = data[:exc.start]
+        error.line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return error
+    return SchemaError("not UTF-8 when read, and changed since")
+
+
+def not_utf8(exc: UnicodeDecodeError) -> str:
+    """What the manifest and config readers say of a file that is not UTF-8;
+    exc is from decoding the whole file, so its offset is the file's."""
+    return f"not UTF-8: {exc.reason} at byte {exc.start}"
 
 
 @contextmanager
@@ -382,11 +408,12 @@ def atomic_write(path: str | Path | TextIO) -> Iterator[TextIO]:
     if hasattr(path, "write"):
         yield path
         return
-    path = Path(path)
+    # A trailing separator still names the file, as it does for a Path.
+    path = os.fspath(path).rstrip(os.sep) or os.sep
     try:
         mode = os.lstat(path).st_mode
         if stat.S_ISLNK(mode):
-            path = Path(os.path.realpath(path))
+            path = os.path.realpath(path)
             mode = os.stat(path).st_mode
     except (FileNotFoundError, NotADirectoryError):
         mode = None
@@ -394,19 +421,23 @@ def atomic_write(path: str | Path | TextIO) -> Iterator[TextIO]:
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
         return
-    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
     try:
         fh = open(tmp, "x", encoding="utf-8")
     except FileNotFoundError:
         # Only now, so writing into an existing directory costs no extra call.
-        path.parent.mkdir(parents=True, exist_ok=True)
+        os.makedirs(directory, exist_ok=True)
         fh = open(tmp, "x", encoding="utf-8")
     try:
         with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
         raise
 
 

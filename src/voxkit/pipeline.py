@@ -260,6 +260,10 @@ def load_pipeline_config(path: str | Path,
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # The line the bad byte is on, as splitlines below numbers lines.
+        head = exc.object[:exc.start].decode("utf-8")
+        raise ConfigError(manifest.not_utf8(exc), len(f"{head}.".splitlines())) from exc
 
     settings: dict = {PipelineConfig: {}, FilterConfig: {}, load_profiles: {}}
     line_of: dict[str, int] = {}

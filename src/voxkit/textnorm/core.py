@@ -83,19 +83,7 @@ def normalize(text: str, profile: LanguageProfile) -> str:
 
     out = _DIGIT_RUN.sub(repl, out)
 
-    kept: list[str] = []
-    for ch in out:
-        if ch.isspace():
-            kept.append(" ")
-            continue
-        cat = unicodedata.category(ch)
-        if cat[0] in ("L", "M", "N"):
-            kept.append(ch)
-        elif cat[0] == "P" and ch in profile.punctuation:
-            kept.append(ch)
-        # other punctuation, symbols, and controls are dropped
-    out = "".join(kept)
-
+    out = out.translate(profile._kept_chars)
     out = _REPEAT_PUNCT.sub(r"\1", out)
     out = " ".join(out.split())
     if not out:

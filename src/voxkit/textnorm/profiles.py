@@ -18,8 +18,9 @@ File keys:
 from __future__ import annotations
 
 import os
+import unicodedata
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
@@ -35,6 +36,36 @@ _KNOWN_KEYS = {"language", "rules", "min_ratio", "max_ratio", "ranges", "punctua
 
 class ProfileError(Exception):
     pass
+
+
+class CharMemo(dict):
+    """A ``str.translate`` table that fills itself as characters are seen.
+
+    A code point not yet in the table is mapped by ``fill`` and stored, so
+    the table grows at most to the distinct characters it has been asked
+    about. When ``fill`` raises, nothing is stored and the error reaches the
+    caller of ``translate``.
+    """
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, cp: int) -> str:
+        out = self[cp] = self.fill(chr(cp))
+        return out
+
+
+def _kept_char(punctuation: frozenset[str], ch: str) -> str:
+    """What normalize keeps of one character: a space for whitespace; the
+    character for a letter, mark, number or whitelisted punctuation mark;
+    nothing for other punctuation, symbols and controls."""
+    if ch.isspace():
+        return " "
+    cat = unicodedata.category(ch)[0]
+    if cat in "LMN" or (cat == "P" and ch in punctuation):
+        return ch
+    return ""
 
 
 @dataclass(frozen=True)
@@ -72,6 +103,11 @@ class LanguageProfile:
         (``with_ratio_bounds``) or another profile starts with its own.
         """
         return {}
+
+    @cached_property
+    def _kept_chars(self) -> CharMemo:
+        """normalize's translate table (see _kept_char), held like ``_char_classes``."""
+        return CharMemo(partial(_kept_char, self.punctuation))
 
     def with_ratio_bounds(self, min_ratio: float, max_ratio: float) -> "LanguageProfile":
         return replace(self, min_ratio=min_ratio, max_ratio=max_ratio)
@@ -152,6 +188,8 @@ def load_profile(language: str, profiles_dir: str | Path | None = None) -> Langu
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ProfileError(f"no profile for language {language!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ProfileError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
     profile = parse_profile(text, origin=str(path))
     if profile.language != language:
         raise ProfileError(

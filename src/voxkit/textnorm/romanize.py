@@ -18,6 +18,8 @@ import unicodedata
 from functools import cache
 from importlib import resources
 
+from .profiles import CharMemo
+
 _TOKEN_RE = re.compile(r"^[a-z']+$")
 
 _APOSTROPHES = {"'", "’", "ʼ"}
@@ -101,70 +103,55 @@ def _map_char(ch: str, language: str, tables) -> str:
     return ""
 
 
+def _group_char(ch: str) -> str:
+    """Apostrophes bind to letters as ``'``; whitespace, punctuation,
+    symbols, separators and controls delimit groups; the rest stays."""
+    if ch in _APOSTROPHES:
+        return "'"
+    if ch.isspace() or unicodedata.category(ch)[0] in "PSZC":
+        return " "
+    return ch
+
+
+def _zh_group_char(ch: str) -> str:
+    """As _group_char, but each CJK character stands alone."""
+    return f" {ch} " if is_cjk(ch) else _group_char(ch)
+
+
+# Translate tables that turn text into space-separated groups, so that
+# str.split(), which splits on exactly what isspace accepts, yields them.
+_GROUPS = CharMemo(_group_char)
+_ZH_GROUPS = CharMemo(_zh_group_char)
+
+
+@cache
+def _mapped_chars(language: str) -> CharMemo:
+    """The per-language translate table of _map_char. A character that
+    cannot be mapped raises and is never stored, so its error names the
+    language of the text at hand."""
+    tables = _tables()
+    return CharMemo(lambda ch: _map_char(ch, language, tables))
+
+
 def romanize(text: str, language: str, *, split_zh_chars: bool = False) -> list[str]:
     """Map normalized text to lowercase Latin tokens.
 
     Expects already-normalized input (lowercase, clean punctuation). Raises
     UnmappableCharacterError for letters no table covers.
-    """
-    tables = _tables()
-    text = text.lower()
 
+    Groups are split on whitespace and punctuation, with apostrophes bound
+    to letters; with ``split_zh_chars`` a Chinese text also splits each CJK
+    character off its group, while Latin runs stay whole. Each group maps
+    to one token or, when nothing of it survives, to none.
+    """
+    mapped_chars = _mapped_chars(language)
+    groups = _ZH_GROUPS if language == "zh" and split_zh_chars else _GROUPS
     tokens: list[str] = []
-    for group in _split_groups(text):
-        if language == "zh" and split_zh_chars:
-            for piece in _split_per_cjk_char(group):
-                _emit(piece, language, tables, tokens)
-        else:
-            _emit(group, language, tables, tokens)
-    return tokens
-
-
-def _split_groups(text: str) -> list[str]:
-    """Split into word groups on whitespace and punctuation.
-
-    Apostrophes bind to letters; every other mark is a delimiter.
-    """
-    groups: list[str] = []
-    current: list[str] = []
-    for ch in text:
-        if ch in _APOSTROPHES:
-            current.append("'")
+    for group in text.lower().translate(groups).split():
+        mapped = group.translate(mapped_chars).strip("'")
+        if not mapped:
             continue
-        cat = unicodedata.category(ch)
-        if ch.isspace() or cat[0] in ("P", "S", "Z", "C"):
-            if current:
-                groups.append("".join(current))
-                current = []
-        else:
-            current.append(ch)
-    if current:
-        groups.append("".join(current))
-    return groups
-
-
-def _split_per_cjk_char(group: str) -> list[str]:
-    """Break a group so each CJK character stands alone; Latin runs stay whole."""
-    pieces: list[str] = []
-    run: list[str] = []
-    for ch in group:
-        if is_cjk(ch):
-            if run:
-                pieces.append("".join(run))
-                run = []
-            pieces.append(ch)
-        else:
-            run.append(ch)
-    if run:
-        pieces.append("".join(run))
-    return pieces
-
-
-def _emit(group: str, language: str, tables, tokens: list[str]) -> None:
-    mapped = "".join(_map_char(ch, language, tables) for ch in group)
-    mapped = mapped.strip("'")
-    if not mapped:
-        return
-    if not _TOKEN_RE.match(mapped):
-        raise UnmappableCharacterError(group[0], language)
-    tokens.append(mapped)
+        if not _TOKEN_RE.match(mapped):
+            raise UnmappableCharacterError(group[0], language)
+        tokens.append(mapped)
+    return tokens

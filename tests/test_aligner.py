@@ -3,6 +3,7 @@ import math
 import pickle
 import re
 import zipfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -484,6 +485,35 @@ def test_find_emissions_stays_inside_its_directory(tmp_path):
                 "spk1/../../outside/secret"):
         with pytest.raises(AlignmentError, match="absolute or holds '..'"):
             find_emissions(directory, key)
+
+
+def test_find_emissions_edge_keys(tmp_path):
+    emissions = peaked_emissions([1], vocab_size=2)
+    # A directory named like an archive is passed over for the text file.
+    (tmp_path / "dir.npz").mkdir()
+    save_emissions(emissions, tmp_path / "dir.emit")
+    assert find_emissions(tmp_path, "dir") == tmp_path / "dir.emit"
+    # A dangling symlink names no file; a live one is followed.
+    (tmp_path / "dangling.npz").symlink_to(tmp_path / "absent.npz")
+    assert find_emissions(tmp_path, "dangling") is None
+    save_emissions(emissions, tmp_path / "real.npz")
+    (tmp_path / "link.npz").symlink_to(tmp_path / "real.npz")
+    assert find_emissions(tmp_path, "link") == tmp_path / "link.npz"
+    # A NUL names no file, and a key that is one long name is refused by
+    # the file system as before.
+    assert find_emissions(tmp_path, "re\0al") is None
+    with pytest.raises(OSError):
+        find_emissions(tmp_path, "k" * 300)
+    # "." parts and doubled separators resolve as a Path joins them, and the
+    # result is the same Path; a string directory gives it too.
+    save_emissions(emissions, tmp_path / "a" / "k.npz")
+    for key in ("./real", "a//k", "a/./k", "./a/k"):
+        found = find_emissions(str(tmp_path), key)
+        assert isinstance(found, Path)
+        assert found == tmp_path / f"{key}.npz"
+    for key in ("..", "a/..", "/k"):
+        with pytest.raises(AlignmentError, match="absolute or holds '..'"):
+            find_emissions(tmp_path, key)
 
 
 def reference_trellis(log_probs, labels):

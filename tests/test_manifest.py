@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import stat
 import tempfile
 import threading
@@ -593,12 +594,61 @@ def test_writers_make_a_missing_directory_only_when_needed(tmp_path, monkeypatch
     assert target.is_file()
     assert os.listdir(target.parent) == ["m.jsonl"]
 
-    def no_mkdir(self, *args, **kwargs):
-        raise AssertionError(f"mkdir {self}")
+    def no_makedirs(name, *args, **kwargs):
+        raise AssertionError(f"makedirs {name}")
 
-    monkeypatch.setattr(Path, "mkdir", no_mkdir)
+    monkeypatch.setattr(os, "makedirs", no_makedirs)
     write_manifest([make_record("utt2")], target)
     assert [r.key for r in read_manifest(target)] == ["utt2"]
+
+
+def test_atomic_write_takes_a_string_target(tmp_path):
+    from voxkit.manifest import atomic_write
+
+    # A missing parent directory is made; a symlink keeps its link and its
+    # target is replaced; a trailing separator still names the file.
+    target = str(tmp_path / "new" / "out.txt")
+    with atomic_write(target) as fh:
+        fh.write("one")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    with atomic_write(str(link)) as fh:
+        fh.write("two")
+    assert link.is_symlink()
+    with atomic_write(target + os.sep) as fh:
+        fh.write("three")
+    assert Path(target).read_text(encoding="utf-8") == "three"
+    assert os.listdir(tmp_path / "new") == ["out.txt"]
+    # A block that raises leaves the old file and no temporary one.
+    with pytest.raises(RuntimeError):
+        with atomic_write(str(link)) as fh:
+            fh.write("four")
+            raise RuntimeError
+    assert os.listdir(tmp_path / "new") == ["out.txt"]
+    assert link.read_text(encoding="utf-8") == "three"
+
+
+def test_atomic_write_temp_file_sits_beside_its_target(tmp_path, monkeypatch):
+    from voxkit.manifest import atomic_write
+
+    replaced = []
+    real_replace = os.replace
+
+    def recording_replace(src, dst):
+        replaced.append((os.fspath(src), os.fspath(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    (tmp_path / "real.txt").write_text("old", encoding="utf-8")
+    (tmp_path / "link.txt").symlink_to(tmp_path / "real.txt")
+    for target in (tmp_path / "link.txt", str(tmp_path / "real.txt")):
+        with atomic_write(target) as fh:
+            fh.write("new")
+    assert len(replaced) == 2
+    for src, dst in replaced:
+        assert dst == str(tmp_path / "real.txt")
+        assert os.path.dirname(src) == str(tmp_path)
+        assert re.fullmatch(r"\.real\.txt\.[0-9a-f]{8}\.tmp", os.path.basename(src))
 
 
 def test_json_writers_write_a_dataclass_as_its_fields(tmp_path):

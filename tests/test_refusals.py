@@ -1,5 +1,6 @@
 """Bad values are refused where they enter, with the library's own error."""
 
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from voxkit import (
     EmissionFormatError,
     EmissionMatrix,
     EvalCriteria,
+    GenerationOutcome,
     GuidanceParams,
     PenaltyParams,
     ProfileError,
@@ -169,6 +171,20 @@ def _adapter(**changes):
      r"^overlap_s must be a real number or a sequence of them, got True$"),
     (lambda: stitch([_SEGMENT, _SEGMENT], 1000, 0.001, ["0.01"]), StitchError,
      r"^overlap_s must be a real number or a sequence of them, got \['0.01'\]$"),
+    (lambda: stitch([_SEGMENT, _SEGMENT], 1000, "0.01", 0.5), StitchError,
+     r"^fade_s must be a real number, got '0.01'$"),
+    (lambda: stitch([_SEGMENT, _SEGMENT], 1000, True, 0.5), StitchError,
+     r"^fade_s must be a real number, got True$"),
+    (lambda: stitch([_SEGMENT, _SEGMENT], "1000", 0.01, 0.5), StitchError,
+     r"^sample_rate must be an integer, got '1000'$"),
+    (lambda: stitch([_SEGMENT, _SEGMENT], 1000.5, 0.01, 0.5), StitchError,
+     r"^sample_rate must be an integer, got 1000.5$"),
+    (lambda: GenerationOutcome("3"), EditControlError,
+     r"^generated_frames must be an integer, got '3'$"),
+    (lambda: GenerationOutcome(2.5), EditControlError,
+     r"^generated_frames must be an integer, got 2.5$"),
+    (lambda: GenerationOutcome(True), EditControlError,
+     r"^generated_frames must be an integer, got True$"),
     (lambda: EvalCriteria(target_per_language=2.5), CurationError,
      r"^target_per_language must be an integer, got 2.5$"),
     (lambda: EvalCriteria(target_per_language=True), CurationError,
@@ -220,6 +236,8 @@ def _adapter(**changes):
         "penalty-text", "chunk-text-max", "regen-text-speed", "regen-float-tokens",
         "regen-float-mask-start", "regen-bool-mask-end", "regen-float-round",
         "regen-float-max-rounds", "stitch-bool-overlap", "stitch-text-overlap",
+        "stitch-text-fade", "stitch-bool-fade", "stitch-text-rate", "stitch-float-rate",
+        "outcome-text-frames", "outcome-float-frames", "outcome-bool-frames",
         "eval-float-target", "eval-bool-target", "eval-float-min-words",
         "eval-text-confidence", "eval-bool-max-duration", "adapter-unknown-map",
         "adapter-unknown-default", "adapter-unreached-field", "read-text-tokens",
@@ -243,7 +261,10 @@ def test_refusals_at_entry(make, error, message):
                          target_per_language=np.uint8(4)),
     lambda: chunk(np.float32(10.0), np.float64(4.0), np.float16(1.0)),
     lambda: cfg_combine(np.ones(2), np.zeros(2), np.float32(1.5)),
-], ids=["sway", "guidance", "penalty", "regen", "eval", "chunk", "cfg"])
+    lambda: stitch([_SEGMENT, _SEGMENT], np.int32(1000), np.float32(0.01), 0.05),
+    lambda: GenerationOutcome(np.int64(3)),
+], ids=["sway", "guidance", "penalty", "regen", "eval", "chunk", "cfg", "stitch",
+        "outcome"])
 def test_numpy_scalars_are_numbers(make):
     make()
 
@@ -254,3 +275,57 @@ def test_stitch_takes_a_numpy_overlap():
     expected_out, expected_plan = stitch(segments, 1000, 0.01, float(np.float32(0.05)))
     assert plan == expected_plan
     assert np.array_equal(out, expected_out)
+
+
+# A file that is not UTF-8 is refused with its reader's own error, which
+# names the byte and, where the reader counts lines, the line that holds it.
+_LATIN1 = "é".encode("latin-1")
+
+
+def test_manifest_not_utf8_names_its_line(tmp_path):
+    from voxkit import read_manifest
+
+    good = record_from_json_dict(_record())
+    line = json.dumps(_record()).encode()
+    path = tmp_path / "m.jsonl"
+    # Lines end in \n, \r\n and \r, as text-mode reading counts them; a
+    # long first stretch puts the bad byte past the reader's first chunk.
+    path.write_bytes(line + b"\n\r\n\r" + b" " * 9000 + b"\n" + _LATIN1 + b"\n")
+    with pytest.raises(SchemaError, match=r"^line 5: not UTF-8: invalid continuation "
+                                          r"byte at byte \d+$"):
+        list(read_manifest(path))
+    path.write_bytes(b"\xff" + line + b"\n")
+    with pytest.raises(SchemaError, match=r"^line 1: not UTF-8: invalid start byte at byte 0$"):
+        list(read_manifest(path))
+    path.write_bytes(line + b"\n")
+    assert list(read_manifest(path)) == [good]
+
+
+def test_cli_reports_a_manifest_that_is_not_utf8(tmp_path, capsys):
+    from voxkit.cli import main
+
+    path = tmp_path / "m.jsonl"
+    path.write_bytes(b"\xff\n")
+    assert main(["filter", "-i", str(path), "-o", str(tmp_path / "out.jsonl")]) == 2
+    assert "line 1: not UTF-8: invalid start byte at byte 0" in capsys.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_profile_not_utf8(tmp_path):
+    from voxkit import load_profile
+
+    (tmp_path / "en.profile").write_bytes(b"language = en\nrules = en\n# " + _LATIN1 + b"\n")
+    with pytest.raises(ProfileError, match=r"en\.profile: not UTF-8: invalid continuation "
+                                           r"byte at byte 27$"):
+        load_profile("en", tmp_path)
+
+
+def test_config_not_utf8_names_its_line(tmp_path):
+    from voxkit import ConfigError, load_pipeline_config
+
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"stages = filter\r\n\x0c\n# " + _LATIN1 + b"\n")
+    # splitlines, as the parser splits, ends a line at a form feed too.
+    with pytest.raises(ConfigError, match=r"^line 4: not UTF-8: invalid continuation "
+                                          r"byte at byte 21$"):
+        load_pipeline_config(path)

@@ -1,3 +1,4 @@
+import re
 import unicodedata
 
 import numpy as np
@@ -17,6 +18,7 @@ from voxkit import (
     validate_charset,
 )
 from voxkit.textnorm import ProfileError, parse_profile
+from voxkit.textnorm.core import _expand_number_run
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +179,51 @@ def test_charset_memo_belongs_to_one_profile():
     assert set(first._char_classes) == set("ab мя")
     assert copy._char_classes == {}
     assert validate_charset("ab", copy).ok
+
+
+def _plain_normalize(text, profile):
+    """normalize with its character filter as a loop, with no translate table."""
+    out = re.sub(r"[0-9]+", lambda m: f" {_expand_number_run(m.group(), 'en')} ",
+                 unicodedata.normalize("NFKC", text).lower())
+    kept = []
+    for ch in out:
+        cat = unicodedata.category(ch)[0]
+        if ch.isspace():
+            kept.append(" ")
+        elif cat in "LMN" or (cat == "P" and ch in profile.punctuation):
+            kept.append(ch)
+    out = " ".join(re.sub(r"([^\w\s])\1+", r"\1", "".join(kept)).split())
+    if not out:
+        raise EmptyTextError("text is empty after normalization")
+    return out
+
+
+def _outcome(fn, *args):
+    """The result of a call, or its error's type and text."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# Every profile here spells numbers in English.
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(st.sampled_from(_MIXED_CHARS + list("ＡＢ！。'’07¼٣"))
+                    | st.characters(blacklist_categories=("Cs",)), max_size=40))
+def test_normalize_matches_plain_loop(text):
+    for profile in (_LATIN, _CYRILLIC, _LATIN_COPY, _LATIN_OTHER_PUNCT, _LATIN):
+        assert _outcome(normalize, text, profile) == _outcome(_plain_normalize, text, profile)
+
+
+def test_normalize_memo_belongs_to_one_profile():
+    first = _en_profile("0061-007A", ". !")
+    copy = first.with_ratio_bounds(2.0, 20.0)
+    other = _en_profile("0061-007A", "?")
+    assert normalize("a! b? c", first) == "a! b c"
+    assert normalize("a! b? c", other) == "a b? c"
+    assert set(first._kept_chars) == set(map(ord, "a! b?c"))
+    assert copy._kept_chars == {}
+    assert normalize("a! b? c", copy) == "a! b c"
 
 
 @settings(max_examples=200, deadline=None)
