@@ -496,14 +496,18 @@ def load_emissions(path: str | Path) -> EmissionMatrix:
     A file that does not decode to a valid matrix, whatever the cause,
     raises EmissionFormatError.
     """
-    path = Path(path)
+    # Strings, not a Path: find_emissions hands over a Path, and making
+    # another from it parses every part again.
+    path = os.fspath(path)
+    name = os.path.basename(path)
+    suffix = os.path.splitext(name)[1]
     try:
-        if path.suffix == _NPZ_SUFFIX:
+        if suffix == _NPZ_SUFFIX:
             return _load_npz(path)
-        if path.suffix == _TEXT_SUFFIX:
+        if suffix == _TEXT_SUFFIX:
             return _load_emit(path)
     except KeyError as exc:
-        raise EmissionFormatError(f"{path.name}: missing array {exc}") from exc
+        raise EmissionFormatError(f"{name}: missing array {exc}") from exc
     except (ValueError, TypeError, EOFError, RuntimeError, zipfile.BadZipFile,
             zlib.error) as exc:
         # _load_npz refuses a non-archive, a malformed .npy member, an
@@ -513,11 +517,11 @@ def load_emissions(path: str | Path) -> EmissionMatrix:
         # unsupported version, method or flag bit (NotImplementedError, a
         # RuntimeError). Text that is not UTF-8 raises UnicodeDecodeError,
         # a ValueError.
-        raise EmissionFormatError(f"{path.name}: {exc}") from exc
-    raise EmissionFormatError(f"unsupported emission file suffix: {path.name}")
+        raise EmissionFormatError(f"{name}: {exc}") from exc
+    raise EmissionFormatError(f"unsupported emission file suffix: {name}")
 
 
-def _load_npz(path: Path) -> EmissionMatrix:
+def _load_npz(path: str) -> EmissionMatrix:
     """Read an archive as np.load(allow_pickle=False) would, without np.load.
 
     The file is read with one call. An archive laid out as np.savez writes
@@ -638,7 +642,7 @@ def _npy_header(version: tuple[int, int],
     return shape, fortran_order, dtype
 
 
-def _load_emit(path: Path) -> EmissionMatrix:
+def _load_emit(path: str) -> EmissionMatrix:
     """Read a .emit file; the body is parsed in C when it is well formed.
 
     np.loadtxt accepts a subset of what float() does (no "1_0", no
@@ -646,7 +650,7 @@ def _load_emit(path: Path) -> EmissionMatrix:
     goes to _load_emit_checked, which decides acceptance and words the error.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        frame_dur, vocab = _read_emit_header(fh, path.name)
+        frame_dur, vocab = _read_emit_header(fh, os.path.basename(path))
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data",
@@ -659,10 +663,11 @@ def _load_emit(path: Path) -> EmissionMatrix:
     return EmissionMatrix(log_probs=log_probs, frame_dur_s=frame_dur, vocab=vocab)
 
 
-def _load_emit_checked(path: Path) -> EmissionMatrix:
+def _load_emit_checked(path: str | Path) -> EmissionMatrix:
     """Read a .emit file value by value, with the line number of any error."""
+    name = os.path.basename(path)
     with open(path, "r", encoding="utf-8") as fh:
-        frame_dur, vocab = _read_emit_header(fh, path.name)
+        frame_dur, vocab = _read_emit_header(fh, name)
         rows = []
         for line_no, line in enumerate(fh, 2):
             if not line.strip():
@@ -670,14 +675,14 @@ def _load_emit_checked(path: Path) -> EmissionMatrix:
             values = line.split()
             if len(values) != len(vocab):
                 raise EmissionFormatError(
-                    f"{path.name}:{line_no}: expected {len(vocab)} values, "
+                    f"{name}:{line_no}: expected {len(vocab)} values, "
                     f"got {len(values)}")
             try:
                 rows.append([float(v) for v in values])
             except ValueError as exc:
-                raise EmissionFormatError(f"{path.name}:{line_no}: {exc}") from exc
+                raise EmissionFormatError(f"{name}:{line_no}: {exc}") from exc
         if not rows:
-            raise EmissionFormatError(f"{path.name}: no frames")
+            raise EmissionFormatError(f"{name}: no frames")
         return EmissionMatrix(log_probs=np.array(rows), frame_dur_s=frame_dur,
                               vocab=vocab)
 

@@ -12,23 +12,30 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
+from itertools import islice
 from pathlib import Path
+from typing import NamedTuple
 
 from . import editctl, flowsched
 from .aligner import SCORE_MODES, AlignmentError
 from .audio import AudioFormatError, read_wav, write_wav
 from .curate import (CurationError, EvalCriteria, compute_stats, eligible,
-                     render_stats_table, select_eval, stats_to_json_dict,
+                     most_typical, render_stats_table, stats_to_json_dict,
                      trim_trailing_silence)
 from .manifest import (ManifestError, SourceAdapterSpec, atomic_write,
-                       json_document, read_manifest, write_json,
+                       json_document, read_manifest, read_manifest_lines,
+                       record_from_json_dict, record_to_line, write_json,
                        write_json_lines, write_manifest)
 from .pipeline import (ConfigError, PipelineConfig, PipelineError,
                        PipelineStageError, add_threshold, run_stage, shard,
                        write_rejections, write_shards)
 from .quality import FilterConfig, QualityError, fit_ratio_bounds
 from .textnorm import (EmptyTextError, ProfileError, UnmappableCharacterError,
-                       load_profiles)
+                       char_ratio, load_profiles)
+
+# Records a stage command (ingest aside) holds at once: the chunk it runs
+# through its stages before writing the survivors.
+CHUNK_RECORDS = 256
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -91,24 +98,35 @@ def _run_stages(args, stages: tuple[str, ...], *, skip_failed: bool = False,
                 rejects: str | None = None, **settings) -> int:
     """Run pipeline stages over --input and write the survivors to --output.
 
-    A record a stage rejects raises the error that explains it, unless
-    skip_failed is set. Filter verdicts carry no error and are never raised.
+    Records go through every stage CHUNK_RECORDS at a time, so memory holds
+    one chunk and the rejections. A record a stage rejects raises the error
+    that explains it, unless skip_failed is set. Filter verdicts carry no
+    error and are never raised.
     """
     config = PipelineConfig(input_path=args.input,
                             output_dir=Path(args.output).parent,
                             stages=stages, **settings)
-    records = list(read_manifest(config.input_path))
     rejections = []
-    for stage in stages:
-        records, rejected = run_stage(stage, records, config)
-        errors = [r.error for r in rejected if r.error is not None]
-        if errors and not skip_failed:
-            raise errors[0]
-        rejections += rejected
-    with atomic_write(rejects) if rejects else nullcontext() as fh:
-        if fh is not None:
-            write_rejections(rejections, fh)
-        count = write_manifest(records, args.output)
+
+    def survivors():
+        reader = read_manifest(config.input_path)
+        while chunk := list(islice(reader, CHUNK_RECORDS)):
+            for stage in stages:
+                chunk, rejected = run_stage(stage, chunk, config)
+                errors = [r.error for r in rejected if r.error is not None]
+                if errors and not skip_failed:
+                    raise errors[0]
+                # --rejects writes no error, so none is kept.
+                rejections.extend(r._replace(error=None) for r in rejected)
+            yield from chunk
+            del chunk  # before the next chunk is read
+
+    # Both files are complete before either replaces its target.
+    with atomic_write(args.output) as out:
+        with atomic_write(rejects) if rejects else nullcontext() as fh:
+            count = write_manifest(survivors(), out)
+            if fh is not None:
+                write_rejections(rejections, fh)
     note = f", skipped {len(rejections)}" if rejections else ""
     _progress(f"{args.command}: wrote {count} records{note}")
     return EXIT_OK
@@ -143,9 +161,7 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_fit_bounds(args) -> int:
-    records = [r for r in read_manifest(args.input)
-               if r.language == args.language]
-    low, high = fit_ratio_bounds(records, args.language,
+    low, high = fit_ratio_bounds(read_manifest(args.input), args.language,
                                  **_given(args, "percentile"))
     print(json.dumps({"language": args.language, "min_ratio": low,
                       "max_ratio": high}, sort_keys=True))
@@ -153,22 +169,27 @@ def _cmd_fit_bounds(args) -> int:
 
 
 def _cmd_curate_eval(args) -> int:
+    """Rank each language's eligible records as select_eval does, keeping of
+    each only its ratio, key and input line; rebuild the ones chosen."""
     criteria = EvalCriteria(**_given(
         args, "min_confidence", "min_words", "min_duration_s", "max_duration_s",
         "trailing_silence_s", target_per_language="target"))
     pools: dict[str, list] = {}
     trims = []
-    for record in read_manifest(args.input):
+    for record, line in read_manifest_lines(args.input):
         if not record.words or record.avg_confidence is None:
             continue
         record, trim = trim_trailing_silence(record, criteria)
         if trim is not None:
             trims.append(trim)
         if eligible(record, criteria):
-            pools.setdefault(record.language, []).append(record)
-    selections = {language: select_eval(pools[language], criteria)
+            pools.setdefault(record.language, []).append(
+                (char_ratio(record.normalized_text, record.duration_s), record.key,
+                 line.encode()))
+    selections = {language: most_typical(pools[language], criteria.target_per_language)
                   for language in sorted(pools)}
-    selected = [record for chosen in selections.values() for record in chosen]
+    selected = [trim_trailing_silence(record_from_json_dict(json.loads(line)), criteria)[0]
+                for chosen in selections.values() for _, _, line in chosen]
     with atomic_write(args.trims) if args.trims else nullcontext() as fh:
         if fh is not None:
             write_json_lines(fh, trims)
@@ -188,21 +209,33 @@ def _cmd_stats(args) -> int:
     return EXIT_OK
 
 
+class _ShardEntry(NamedTuple):
+    """What shard keeps of a record: its key and duration for the
+    assignment, and its line, UTF-8 encoded, for the shard file."""
+
+    key: str
+    duration_s: float
+    line: bytes
+
+
 def _cmd_shard(args) -> int:
     if args.shards < 1:
         raise UsageError(f"--shards must be >= 1, got {args.shards}")
-    records = list(read_manifest(args.input))
-    assignment = shard(records, args.shards)
+    # The greedy assignment needs every duration before it places any record.
+    entries = [_ShardEntry(r.key, r.duration_s, record_to_line(r).encode())
+               for r in read_manifest(args.input)]
+    assignment = shard(entries, args.shards)
     out_dir = Path(args.output_dir)
-    write_shards(records, assignment, out_dir, **_given(args, "prefix"))
+    write_shards({e.key: e.line for e in entries}, assignment, out_dir,
+                 **_given(args, "prefix"))
     write_json(out_dir / "assignment.json", {
         "n_shards": assignment.n_shards,
         "durations_s": [round(d, 3) for d in assignment.durations],
         "assignment": assignment.shard_of,
     })
     spread = (max(assignment.durations) - min(assignment.durations)
-              if records else 0.0)
-    _progress(f"shard: {len(records)} records into {args.shards} shards, "
+              if entries else 0.0)
+    _progress(f"shard: {len(entries)} records into {args.shards} shards, "
               f"spread {spread:.3f}s")
     return EXIT_OK
 

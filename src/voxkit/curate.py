@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .manifest import UtteranceRecord, is_integer, is_real
 from .textnorm import char_ratio
@@ -19,6 +19,10 @@ from .textnorm import char_ratio
 
 class CurationError(Exception):
     pass
+
+
+# An eval-pool entry: (character ratio, key, the record or what stands for it).
+PoolEntry = tuple[float, str, Any]
 
 
 @dataclass(frozen=True)
@@ -118,24 +122,33 @@ def select_eval(records: Sequence[UtteranceRecord],
                 criteria: EvalCriteria | None = None) -> list[UtteranceRecord]:
     """Pick the records whose speaking rate is most typical of the pool.
 
-    All inputs must already be eligible. Ranks by absolute distance of the
-    character ratio from the pool mean (ties on key), keeps at most the
-    per-language target, and returns the selection sorted by key.
+    All inputs must already be eligible. Ranks by most_typical's rule on
+    each record's character ratio, keeps at most the per-language target,
+    and returns the selection sorted by key.
     """
     if criteria is None:
         criteria = EvalCriteria()
-    if not records:
-        return []
     for record in records:
         verdict = eligible(record, criteria)
         if not verdict:
             raise CurationError(f"record {record.key!r} is not eligible "
                                 f"({verdict.reason})")
-    ratios = {r.key: char_ratio(r.normalized_text, r.duration_s) for r in records}
-    mean = sum(ratios.values()) / len(ratios)
-    ranked = sorted(records, key=lambda r: (abs(ratios[r.key] - mean), r.key))
-    chosen = ranked[:min(criteria.target_per_language, len(ranked))]
-    return sorted(chosen, key=lambda r: r.key)
+    pool = [(char_ratio(r.normalized_text, r.duration_s), r.key, r) for r in records]
+    return [record for _, _, record in most_typical(pool, criteria.target_per_language)]
+
+
+def most_typical(pool: Sequence[PoolEntry], target: int) -> list[PoolEntry]:
+    """The at most target entries of pool, each (character ratio, key, ...),
+    whose ratio lies closest to the pool mean, ties on key, sorted by key.
+
+    This is select_eval's rule; `voxkit curate-eval` ranks by it without
+    keeping the records.
+    """
+    if not pool:
+        return []
+    mean = sum(entry[0] for entry in pool) / len(pool)
+    ranked = sorted(pool, key=lambda entry: (abs(entry[0] - mean), entry[1]))
+    return sorted(ranked[:target], key=lambda entry: entry[1])
 
 
 # ---------------------------------------------------------------- statistics

@@ -9,7 +9,8 @@ round-trip. A record checks itself when it is made, judging its times by the
 millisecond values they are written with, so every record written reads back.
 
 This module is the only one that reads or writes JSON files: read_manifest
-reads manifests and adapted source rows, write_manifest writes records
+reads manifests and adapted source rows (read_manifest_lines with the line
+each record came from), write_manifest writes records
 (a record whose line the caller passes in is not encoded again), and
 write_json and write_json_lines write every other JSON output, a dataclass
 instance as its fields. All of them write UTF-8 with sorted keys (records
@@ -25,6 +26,7 @@ import os
 import stat
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, TextIO
 
@@ -340,6 +342,12 @@ def read_manifest(path: str | Path,
     adapter cannot map, and DuplicateKeyError when a key repeats within the
     file; this is the one place that gives an error its 1-based line number.
     """
+    return map(itemgetter(0), read_manifest_lines(path, adapter))
+
+
+def read_manifest_lines(path: str | Path, adapter: SourceAdapterSpec | None = None
+                        ) -> Iterator[tuple[UtteranceRecord, str]]:
+    """read_manifest's records, each with the text line it was read from."""
     seen: set[str] = set()
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -361,7 +369,7 @@ def read_manifest(path: str | Path,
                     exc.line_no = line_no
                     raise
                 seen.add(record.key)
-                yield record
+                yield record, line
     except UnicodeDecodeError:
         # Only the file's reader raises this; find the line now, so that
         # reading good input costs nothing.
@@ -400,7 +408,8 @@ def atomic_write(path: str | Path | TextIO) -> Iterator[TextIO]:
     followed, so its target is replaced and the link kept; a path that
     exists but is not a regular file (a pipe, or a device such as
     /dev/stdout) cannot be replaced and is written directly. A missing
-    parent directory is created; no other voxkit code makes one. A text file
+    parent directory is created, and removed again if the block raises; no
+    other voxkit code makes one. A text file
     that is already open is written to and left open, so each writer built on
     this one can write inside a caller's atomic_write block: a command that
     writes two files nests the blocks, and both appear or neither does.
@@ -423,10 +432,15 @@ def atomic_write(path: str | Path | TextIO) -> Iterator[TextIO]:
         return
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    made: list[str] = []
     try:
         fh = open(tmp, "x", encoding="utf-8")
     except FileNotFoundError:
         # Only now, so writing into an existing directory costs no extra call.
+        missing = directory
+        while missing and not os.path.isdir(missing):
+            made.append(missing)
+            missing = os.path.dirname(missing)
         os.makedirs(directory, exist_ok=True)
         fh = open(tmp, "x", encoding="utf-8")
     try:
@@ -438,33 +452,38 @@ def atomic_write(path: str | Path | TextIO) -> Iterator[TextIO]:
             os.unlink(tmp)
         except FileNotFoundError:
             pass
+        # The directories made for this file go too, deepest first, if empty.
+        for made_dir in made:
+            try:
+                os.rmdir(made_dir)
+            except OSError:
+                break
         raise
 
 
-def write_manifest(records: Iterable[UtteranceRecord], path: str | Path,
+def write_manifest(records: Iterable[UtteranceRecord], path: str | Path | TextIO,
                    lines: Mapping[int, str] | None = None) -> int:
     """Write records as JSONL. Returns the number of records written.
 
     Output is byte-stable: the same records always produce the same file.
-    Duplicate keys are rejected before anything is written, and the file
-    is replaced atomically, so a failed write leaves the old one in place.
-    A record checked itself when it was made, so none is checked again here.
-    lines maps id(record) to record_to_line(record) for records the caller
-    has encoded before and still holds, so no id can belong to another
-    object; those are written without being encoded again.
+    records may be a generator: each record is written as it comes, so only
+    its key is kept. A duplicate key raises DuplicateKeyError before the file
+    is replaced, so it leaves no new file and the old one in place, as any
+    failed write does. A record checked itself when it was made, so none is
+    checked again here. lines maps id(record) to record_to_line(record) for
+    records the caller has encoded before and still holds, so no id can
+    belong to another object; those are written without being encoded again.
     """
-    records = list(records)
     seen: set[str] = set()
-    for record in records:
-        if record.key in seen:
-            raise DuplicateKeyError("duplicate key", key=record.key)
-        seen.add(record.key)
     lines = lines or {}
     with atomic_write(path) as fh:
         for record in records:
+            if record.key in seen:
+                raise DuplicateKeyError("duplicate key", key=record.key)
+            seen.add(record.key)
             fh.write(lines.get(id(record)) or record_to_line(record))
             fh.write("\n")
-    return len(records)
+    return len(seen)
 
 
 def _fields(obj: Any) -> dict[str, Any]:

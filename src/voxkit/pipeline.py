@@ -8,11 +8,12 @@ JSON keys sorted, so reruns are byte-identical.
 
 from __future__ import annotations
 
+import errno
 import heapq
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, TextIO, TypeVar
 
 from . import manifest
 from .aligner import (SCORE_MODES, AlignmentError, AlignmentResult,
@@ -80,8 +81,10 @@ class ShardAssignment:
         return by_shard
 
 
-def shard(records: Sequence[UtteranceRecord], n_shards: int) -> ShardAssignment:
+def shard(records: Iterable[UtteranceRecord], n_shards: int) -> ShardAssignment:
     """Partition records into n_shards with near-equal total duration.
+
+    records may be anything with a key and a duration_s, not only records.
 
     Greedy longest-first: records sorted by descending duration (ties by
     key) go one at a time onto the currently lightest shard, lowest index
@@ -106,16 +109,15 @@ def shard(records: Sequence[UtteranceRecord], n_shards: int) -> ShardAssignment:
     return ShardAssignment(n_shards, shard_of, tuple(durations))
 
 
-def write_shards(records: Sequence[UtteranceRecord], assignment: ShardAssignment,
-                 out_dir: Path, prefix: str = "shard_",
-                 lines: Mapping[int, str] | None = None) -> None:
-    """Write each shard's records, sorted by key, to out_dir/{prefix}NNN.jsonl;
-    lines, if given, is passed on to write_manifest."""
-    by_key = {r.key: r for r in records}
+def write_shards(lines: Mapping[str, bytes], assignment: ShardAssignment,
+                 out_dir: Path, prefix: str = "shard_") -> None:
+    """Write each shard to out_dir/{prefix}NNN.jsonl: the lines of its keys,
+    sorted by key. lines maps each key to its record_to_line, UTF-8 encoded."""
     for index in range(assignment.n_shards):
-        keys = assignment.keys_for(index)
-        write_manifest([by_key[k] for k in keys], out_dir / f"{prefix}{index:03d}.jsonl",
-                       lines)
+        with manifest.atomic_write(out_dir / f"{prefix}{index:03d}.jsonl") as fh:
+            for key in assignment.keys_for(index):
+                fh.buffer.write(lines[key])
+                fh.buffer.write(b"\n")
 
 
 # ------------------------------------------------------------ configuration
@@ -410,10 +412,17 @@ def _stage_align(records: list[UtteranceRecord], config: PipelineConfig
 
 def _emissions_for(record: UtteranceRecord,
                    config: PipelineConfig) -> EmissionMatrix | Rejection:
+    """The record's emissions, or its rejection: missing_emissions when no
+    file is found (a key too long for a file name names none), and
+    bad_emissions when one cannot be read or decoded."""
     try:
         path = find_emissions(config.emissions_dir, record.key)
     except AlignmentError as exc:
         return Rejection(record.key, "align", ("missing_emissions",), exc)
+    except OSError as exc:
+        if exc.errno != errno.ENAMETOOLONG:
+            return _unreadable(record, exc)
+        path = None
     if path is None:
         return Rejection(record.key, "align", ("missing_emissions",), AlignmentError(
             f"no emissions for key {record.key!r} under {config.emissions_dir}"))
@@ -424,6 +433,15 @@ def _emissions_for(record: UtteranceRecord,
         return load_emissions(path)
     except EmissionFormatError as exc:
         return Rejection(record.key, "align", ("bad_emissions",), exc)
+    except OSError as exc:
+        return _unreadable(record, exc)
+
+
+def _unreadable(record: UtteranceRecord, exc: OSError) -> Rejection:
+    """bad_emissions for a record whose emissions the OS would not look up or read."""
+    error = EmissionFormatError(f"emissions for key {record.key!r} cannot be read: {exc}")
+    error.__cause__ = exc
+    return Rejection(record.key, "align", ("bad_emissions",), error)
 
 
 def _aligned(record: UtteranceRecord, result: AlignmentResult | AlignmentError
@@ -562,7 +580,8 @@ def run_pipeline(config: PipelineConfig,
 
     if config.shard_count > 1:
         assignment = shard(records, config.shard_count)
-        write_shards(records, assignment, config.output_dir, lines=lines)
+        write_shards({r.key: (lines.get(id(r)) or manifest.record_to_line(r)).encode()
+                      for r in records}, assignment, config.output_dir)
         note(f"shard: {config.shard_count} shards, "
              f"{max(assignment.durations, default=0.0):.1f}s max")
 

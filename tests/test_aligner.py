@@ -516,6 +516,22 @@ def test_find_emissions_edge_keys(tmp_path):
             find_emissions(tmp_path, key)
 
 
+def test_load_emissions_builds_no_path(tmp_path, monkeypatch):
+    emissions = peaked_emissions([1, 0], vocab_size=3)
+    for name in ("e.npz", "e.emit"):
+        save_emissions(emissions, tmp_path / name)
+    (tmp_path / "e.txt").write_text("", encoding="utf-8")
+
+    def no_path(*args):
+        raise AssertionError("load_emissions made a Path")
+
+    monkeypatch.setattr(aligner_module, "Path", no_path)
+    for path in (tmp_path / "e.npz", str(tmp_path / "e.emit")):
+        np.testing.assert_array_equal(load_emissions(path).log_probs, emissions.log_probs)
+    with pytest.raises(EmissionFormatError, match="^unsupported emission file suffix: e.txt$"):
+        load_emissions(tmp_path / "e.txt")
+
+
 def reference_trellis(log_probs, labels):
     """Plain-loop Viterbi in Python floats and ints, documented tie order.
 

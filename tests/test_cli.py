@@ -1,11 +1,15 @@
 import argparse
 import contextlib
+import errno
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +34,7 @@ from voxkit import (
     write_wav,
 )
 from voxkit.cli import build_parser, main
+from voxkit.pipeline import run_stage, write_rejections
 from voxkit.curate import compute_stats, stats_to_json_dict
 from voxkit.manifest import write_json
 
@@ -1013,3 +1018,272 @@ def test_runs_without_scipy(tmp_path):
                             capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     assert len(read_wav(tmp_path / "joined.wav")[0]) == 2 * 400 - 80
+
+
+# ------------------------------------------------------------- streaming
+
+CHUNK = voxkit.cli.CHUNK_RECORDS
+SIZES = {"0": 0, "1": 1, "C-1": CHUNK - 1, "C": CHUNK, "C+1": CHUNK + 1,
+         "2C+1": 2 * CHUNK + 1}
+# The records a case rejects: the first, and each side of both chunk edges.
+EDGES = {0, CHUNK - 1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK}
+
+
+def _written(write):
+    """The bytes write(fh) puts in a text file."""
+    buffer = io.StringIO()
+    write(buffer)
+    return buffer.getvalue().encode("utf-8")
+
+
+def _all_at_once(src, stages, **settings):
+    """The survivors and the rejections, as lines, of every record of src
+    going through each stage at once, as the stage commands ran before they
+    read in chunks."""
+    config = PipelineConfig(input_path=src, output_dir=src.parent, stages=stages,
+                            **settings)
+    records, rejections = list(voxkit.read_manifest(src)), []
+    for stage in stages:
+        records, rejected = run_stage(stage, records, config)
+        rejections += rejected
+    return (_written(lambda fh: write_manifest(records, fh)),
+            _written(lambda fh: write_rejections(rejections, fh)))
+
+
+def _stream_filter(tmp_path, n):
+    src = manifest_of(tmp_path, [rec(f"r{i:04d}", confidence=0.1 if i in EDGES else 0.95)
+                                 for i in range(n)])
+    out, rejects = tmp_path / "kept.jsonl", tmp_path / "rejects.jsonl"
+    kept, rejected = _all_at_once(src, ("filter",),
+                                  filter_config=FilterConfig(profiles=load_profiles()))
+    return (["filter", "-i", str(src), "-o", str(out), "--rejects", str(rejects)],
+            {out: kept, rejects: rejected})
+
+
+def _stream_normalize(tmp_path, n):
+    def text_of(i):
+        return "!!!" if i in EDGES else f"Line {i} of the corpus"
+
+    src = manifest_of(tmp_path, [rec(f"r{i:04d}", text=text_of(i), confidence=None,
+                                     language="xx" if i == CHUNK else "en")
+                                 for i in range(n)])
+    out = tmp_path / "norm.jsonl"
+    kept, _ = _all_at_once(src, ("normalize", "romanize"), profiles=load_profiles())
+    return ["normalize", "-i", str(src), "-o", str(out), "--skip-failed"], {out: kept}
+
+
+def _stream_align(tmp_path, n):
+    records = [rec(f"r{i:04d}", confidence=None, duration_s=4.0, text="hi there",
+                   romanized_tokens=("hi", "there")) for i in range(n)]
+    src = manifest_of(tmp_path, records)
+    emit = tmp_path / "emit"
+    emit.mkdir()
+    emissions = peaked_emissions(("hi", "there"), 4.0)
+    for i, record in enumerate(records):
+        if i not in EDGES:
+            save_emissions(emissions, emit / f"{record.key}.npz")
+    out = tmp_path / "aligned.jsonl"
+    kept, _ = _all_at_once(src, ("align",), emissions_dir=emit)
+    return (["align", "-i", str(src), "-o", str(out), "--emissions", str(emit),
+             "--skip-failed"], {out: kept})
+
+
+def _stream_ingest(tmp_path, n):
+    src = tmp_path / "rows.jsonl"
+    src.write_text("".join(json.dumps({"id": f"r{i:04d}", "file": f"{i}.flac",
+                                       "len": 1.0 + i % 5, "text": f"row {i}"}) + "\n"
+                           for i in range(n)), encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    adapter = voxkit.SourceAdapterSpec(
+        source="web", field_map={"key": "id", "audio_ref": "file", "duration_s": "len",
+                                 "raw_text": "text"}, defaults={"language": "en"})
+    kept = _written(lambda fh: write_manifest(voxkit.read_manifest(src, adapter), fh))
+    return (["ingest", "-i", str(src), "-o", str(out), "--source", "web",
+             "--map", "key=id", "--map", "audio_ref=file", "--map", "duration_s=len",
+             "--map", "raw_text=text", "--default", "language=en"], {out: kept})
+
+
+def _stream_shard(tmp_path, n):
+    src = manifest_of(tmp_path, [rec(f"r{i:04d}", duration_s=2.0 + i % 7, text="é ü ñ 日本")
+                                 for i in range(n)])
+    out_dir = tmp_path / "shards"
+    records = list(voxkit.read_manifest(src))
+    by_key = {r.key: r for r in records}
+    assignment = voxkit.shard(records, 3)
+    expected = {out_dir / f"shard_{i:03d}.jsonl": _written(lambda fh: write_manifest(
+                    [by_key[k] for k in assignment.keys_for(i)], fh)) for i in range(3)}
+    expected[out_dir / "assignment.json"] = _written(lambda fh: write_json(fh, {
+        "n_shards": 3, "durations_s": [round(d, 3) for d in assignment.durations],
+        "assignment": assignment.shard_of}))
+    return ["shard", "-i", str(src), "-o", str(out_dir), "-n", "3"], expected
+
+
+def _stream_curate_eval(tmp_path, n):
+    eight = "one two three four five six seven eight"
+
+    def record(i):
+        duration = 4.0 + i % 9
+        if i in EDGES:  # ineligible: too few words
+            return rec(f"r{i:04d}", duration_s=duration, text="three short words")
+        # Every third record has trailing silence to trim; every fifth is de.
+        return rec(f"r{i:04d}", duration_s=duration, text=eight,
+                   language="de" if i % 5 == 0 else "en",
+                   words=words_for(eight, duration - (1.0 if i % 3 == 0 else 0.0)))
+
+    src = manifest_of(tmp_path, [record(i) for i in range(n)])
+    out, trims_out = tmp_path / "eval.jsonl", tmp_path / "trims.jsonl"
+    criteria = voxkit.EvalCriteria(target_per_language=7)
+    pools, trims = {}, []
+    for candidate in voxkit.read_manifest(src):
+        candidate, trim = voxkit.trim_trailing_silence(candidate, criteria)
+        trims += [trim] if trim is not None else []
+        if voxkit.eligible(candidate, criteria):
+            pools.setdefault(candidate.language, []).append(candidate)
+    chosen = [r for language in sorted(pools) for r in voxkit.select_eval(pools[language],
+                                                                           criteria)]
+    return (["curate-eval", "-i", str(src), "-o", str(out), "--trims", str(trims_out),
+             "--target", "7"],
+            {out: _written(lambda fh: write_manifest(chosen, fh)),
+             trims_out: _written(lambda fh: voxkit.manifest.write_json_lines(fh, trims))})
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("case", [_stream_filter, _stream_normalize, _stream_align,
+                                  _stream_ingest, _stream_shard, _stream_curate_eval],
+                         ids=["filter", "normalize", "align", "ingest", "shard",
+                              "curate-eval"])
+def test_streaming_commands_write_what_whole_files_gave(tmp_path, case, size):
+    argv, expected = case(tmp_path, SIZES[size])
+    assert main(argv) == 0
+    for path, content in expected.items():
+        assert path.read_bytes() == content, path.name
+
+
+def test_filter_holds_one_chunk_of_records(tmp_path, monkeypatch):
+    src = tmp_path / "in.jsonl"
+    write_manifest((rec(f"r{i:04d}", confidence=0.1 if i % 5 == 0 else 0.95)
+                    for i in range(4 * CHUNK)), src)
+    alive = peak = 0
+    check = UtteranceRecord.__post_init__
+
+    def freed():
+        nonlocal alive
+        alive -= 1
+
+    def counted(record):  # a record is unhashable, so no WeakSet holds it
+        nonlocal alive, peak
+        check(record)
+        alive += 1
+        peak = max(peak, alive)
+        weakref.finalize(record, freed)
+
+    monkeypatch.setattr(UtteranceRecord, "__post_init__", counted)
+    assert main(["filter", "-i", str(src), "-o", str(tmp_path / "kept.jsonl"),
+                 "--rejects", str(tmp_path / "rejects.jsonl")]) == 0
+    assert CHUNK <= peak <= CHUNK + 1
+
+
+def _bad_line_in_chunk_two(tmp_path, monkeypatch, out_dir):
+    src = manifest_of(tmp_path, [rec(f"r{i:04d}") for i in range(2 * CHUNK)])
+    lines = src.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[CHUNK + 3] = "{not json\n"
+    src.write_text("".join(lines), encoding="utf-8")
+    return ["filter", "-i", str(src), "--rejects", str(out_dir / "rejects.jsonl")], 2
+
+
+def _rejection_in_chunk_two(tmp_path, monkeypatch, out_dir):
+    src = manifest_of(tmp_path, [rec(f"r{i:04d}", confidence=None,
+                                     text="!!!" if i == CHUNK + 3 else "fine text")
+                                 for i in range(2 * CHUNK)])
+    return ["normalize", "-i", str(src)], 2
+
+
+def _fault_in_chunk_two(tmp_path, monkeypatch, out_dir):
+    src = manifest_of(tmp_path, [rec(f"r{i:04d}", confidence=None,
+                                     text="boom" if i == CHUNK + 3 else "fine text")
+                                 for i in range(2 * CHUNK)])
+
+    def faulty(text, profile):
+        if text == "boom":
+            raise RuntimeError("normalizer crashed")
+        return normalize(text, profile)
+
+    monkeypatch.setattr(voxkit.pipeline, "normalize", faulty)
+    return ["normalize", "-i", str(src), "--skip-failed"], 3
+
+
+@pytest.mark.parametrize("case", [_bad_line_in_chunk_two, _rejection_in_chunk_two,
+                                  _fault_in_chunk_two],
+                         ids=["bad-line", "rejection", "stage-fault"])
+@pytest.mark.parametrize("before", [None, b"old output\n"], ids=["absent", "present"])
+def test_a_failure_in_chunk_two_writes_nothing(tmp_path, monkeypatch, case, before):
+    # Absent outputs go to a directory that does not exist yet either.
+    out_dir = tmp_path / "new" / "deeper" if before is None else tmp_path
+    argv, code = case(tmp_path, monkeypatch, out_dir)
+    out = out_dir / "out.jsonl"
+    if before is not None:
+        out.write_bytes(before)
+        (out_dir / "rejects.jsonl").write_bytes(before)
+    listing = sorted(p.name for p in tmp_path.iterdir())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "-o", str(out)]) == code
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == listing
+    if before is not None:
+        assert out.read_bytes() == before
+        assert (out_dir / "rejects.jsonl").read_bytes() == before
+
+
+def test_curate_eval_chooses_what_select_eval_does(tmp_path):
+    eight = "one two three four five six seven eight"
+    # Equal texts and durations give equal ratios, so keys break the ties.
+    records = [rec(f"t{i}", duration_s=6.0, text=eight) for i in (5, 1, 4, 2, 3)]
+    records += [rec(f"u{i}", duration_s=5.0 + i / 10, text=eight) for i in range(6)]
+    records += [rec(f"z{i}", duration_s=6.0, text=eight, language="zh") for i in range(3)]
+    src = manifest_of(tmp_path, records)
+    out = tmp_path / "eval.jsonl"
+    for target in (1, 3, 4, 20):
+        assert main(["curate-eval", "-i", str(src), "-o", str(out),
+                     "--target", str(target)]) == 0
+        criteria = voxkit.EvalCriteria(target_per_language=target)
+        chosen = [r.key for language in ("en", "zh") for r in voxkit.select_eval(
+            [r for r in records if r.language == language], criteria)]
+        assert [row["key"] for row in read_lines(out)] == chosen
+
+
+def _align_one_key_denied(tmp_path, monkeypatch, emit):
+    load = voxkit.pipeline.load_emissions
+
+    def denied(path):
+        if "bad" in str(path):
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+        return load(path)
+
+    save_emissions(peaked_emissions(("hi", "there"), 4.0), emit / "bad.npz")
+    monkeypatch.setattr(voxkit.pipeline, "load_emissions", denied)
+    return "bad", "Permission denied"
+
+
+def _align_key_too_long(tmp_path, monkeypatch, emit):
+    return "k" * 300, "no emissions for key"
+
+
+@pytest.mark.parametrize("case", [_align_key_too_long, _align_one_key_denied],
+                         ids=["key-too-long", "permission-denied"])
+def test_align_rejects_a_record_whose_emissions_the_os_refuses(tmp_path, monkeypatch,
+                                                               capsys, case):
+    emit = tmp_path / "emit"
+    emit.mkdir()
+    save_emissions(peaked_emissions(("hi", "there"), 4.0), emit / "good.npz")
+    bad_key, message = case(tmp_path, monkeypatch, emit)
+    src = manifest_of(tmp_path, [rec(key, confidence=None, duration_s=4.0, text="hi there",
+                                     romanized_tokens=("hi", "there"))
+                                 for key in ("good", bad_key)])
+    out = tmp_path / "aligned.jsonl"
+    argv = ["align", "-i", str(src), "-o", str(out), "--emissions", str(emit)]
+    assert main(argv) == 3
+    assert message in capsys.readouterr().err
+    assert main(argv + ["--skip-failed"]) == 0
+    assert [row["key"] for row in read_lines(out)] == ["good"]

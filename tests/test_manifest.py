@@ -151,6 +151,41 @@ def test_write_validates_before_touching_the_file(tmp_path):
     assert not path.exists()
 
 
+def test_write_takes_records_as_they_come(tmp_path):
+    path = tmp_path / "out.jsonl"
+    write_manifest([make_record("old")], path)
+    before = path.read_bytes()
+    made = []
+
+    def records(keys):
+        for key in keys:
+            # The records are not gathered first: the output is open.
+            assert [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+            made.append(key)
+            yield make_record(key)
+
+    # A duplicate found after writing has begun leaves no new file.
+    with pytest.raises(DuplicateKeyError, match="key 'b': duplicate key"):
+        write_manifest(records(["a", "b", "c", "b"]), path)
+    assert made == ["a", "b", "c", "b"]
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+    assert write_manifest(records(["x", "y"]), path) == 2
+    assert [r.key for r in read_manifest(path)] == ["x", "y"]
+
+
+def test_read_manifest_lines_gives_each_record_its_line(tmp_path):
+    path = tmp_path / "m.jsonl"
+    first = json.dumps({"raw_text": "hi", "key": "a", "language": "en",
+                        "audio_ref": "a.wav", "duration_s": 1.00001})
+    second = record_to_line(make_record("b"))
+    path.write_text(f"{first}\n\n{second}", encoding="utf-8")
+    pairs = list(manifest_module.read_manifest_lines(path))
+    assert [(record.key, line) for record, line in pairs] == [("a", first + "\n"),
+                                                              ("b", second)]
+    assert [record for record, _ in pairs] == list(read_manifest(path))
+
+
 def test_failed_write_leaves_old_manifest(tmp_path, monkeypatch):
     path = tmp_path / "out.jsonl"
     write_manifest([make_record("old")], path)
@@ -626,6 +661,14 @@ def test_atomic_write_takes_a_string_target(tmp_path):
             raise RuntimeError
     assert os.listdir(tmp_path / "new") == ["out.txt"]
     assert link.read_text(encoding="utf-8") == "three"
+    # So does a block that raises after making missing directories, which
+    # go again; one that existed before stays.
+    (tmp_path / "empty").mkdir()
+    with pytest.raises(RuntimeError):
+        with atomic_write(str(tmp_path / "empty" / "a" / "b" / "out.txt")):
+            assert (tmp_path / "empty" / "a" / "b").is_dir()
+            raise RuntimeError
+    assert os.listdir(tmp_path / "empty") == []
 
 
 def test_atomic_write_temp_file_sits_beside_its_target(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import collections
+import errno
 import json
 import math
 import re
@@ -665,14 +666,47 @@ def test_run_pipeline_wraps_stage_blowups(tmp_path, monkeypatch):
     record = rec("broken", 6.0, text="some gentle words in a quiet room")
     config = full_config(tmp_path, [record])
 
-    def unreadable(path):
-        raise OSError(f"{path}: input/output error")
+    def crashing(path):
+        raise RuntimeError(f"{path}: emission reader crashed")
 
-    monkeypatch.setattr(pipeline_module, "load_emissions", unreadable)
+    monkeypatch.setattr(pipeline_module, "load_emissions", crashing)
     with pytest.raises(PipelineStageError) as err:
         run_pipeline(config)
     assert err.value.stage == "align"
     assert err.value.key == "broken"
+
+
+def test_an_emission_os_error_rejects_one_record(tmp_path, monkeypatch):
+    text = "some gentle words in a quiet room"
+    good, long_key = rec("good", 6.0, text=text), rec("k" * 300, 6.0, text=text)
+    config = full_config(tmp_path, [good], stages=("normalize", "romanize", "align"))
+    write_manifest([good, long_key], config.input_path)
+    # A key too long for a file name names no file.
+    summary = run_pipeline(config)
+    assert summary["rejections"] == {"missing_emissions": 1}
+    assert [r.key for r in read_manifest(config.output_dir / "align.jsonl")] == ["good"]
+
+    def denied_for_good(original):
+        def call(*args):
+            if "good" in str(args[-1]):
+                raise PermissionError(errno.EACCES, "Permission denied", str(args[-1]))
+            return original(*args)
+        return call
+
+    # Any other error the OS gives looking up or reading the file is
+    # bad_emissions, with the OS's message.
+    for name in ("find_emissions", "load_emissions"):
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline_module, name,
+                          denied_for_good(getattr(pipeline_module, name)))
+            summary = run_pipeline(config)
+            assert summary["rejections"] == {"bad_emissions": 1, "missing_emissions": 1}
+            romanized = list(read_manifest(config.output_dir / "romanize.jsonl"))
+            _, rejected = pipeline_module.run_stage("align", romanized[:1], config)
+        assert [r.reasons for r in rejected] == [("bad_emissions",)]
+        assert isinstance(rejected[0].error, EmissionFormatError)
+        assert "emissions for key 'good' cannot be read: [Errno 13] Permission denied" \
+            in str(rejected[0].error)
 
 
 def test_run_pipeline_wraps_per_record_faults(tmp_path, monkeypatch):
