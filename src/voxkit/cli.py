@@ -12,9 +12,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from itertools import islice
 from pathlib import Path
-from typing import NamedTuple
 
 from . import editctl, flowsched
 from .aligner import SCORE_MODES, AlignmentError
@@ -26,16 +24,13 @@ from .manifest import (ManifestError, SourceAdapterSpec, atomic_write,
                        json_document, read_manifest, read_manifest_lines,
                        record_from_json_dict, record_to_line, write_json,
                        write_json_lines, write_manifest)
-from .pipeline import (ConfigError, PipelineConfig, PipelineError,
-                       PipelineStageError, add_threshold, run_stage, shard,
-                       write_rejections, write_shards)
+# CHUNK_RECORDS is imported so that cli.CHUNK_RECORDS keeps naming the chunk size.
+from .pipeline import (CHUNK_RECORDS, ConfigError, PipelineConfig, PipelineError,
+                       PipelineStageError, ShardEntry, add_threshold, run_chunks,
+                       shard, write_rejections, write_shards)
 from .quality import FilterConfig, QualityError, fit_ratio_bounds
 from .textnorm import (EmptyTextError, ProfileError, UnmappableCharacterError,
                        char_ratio, load_profiles)
-
-# Records a stage command (ingest aside) holds at once: the chunk it runs
-# through its stages before writing the survivors.
-CHUNK_RECORDS = 256
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -98,10 +93,10 @@ def _run_stages(args, stages: tuple[str, ...], *, skip_failed: bool = False,
                 rejects: str | None = None, **settings) -> int:
     """Run pipeline stages over --input and write the survivors to --output.
 
-    Records go through every stage CHUNK_RECORDS at a time, so memory holds
-    one chunk and the rejections. A record a stage rejects raises the error
-    that explains it, unless skip_failed is set. Filter verdicts carry no
-    error and are never raised.
+    Records go through every stage CHUNK_RECORDS at a time (run_chunks), so
+    memory holds one chunk and the rejections. A record a stage rejects
+    raises the error that explains it, unless skip_failed is set. Filter
+    verdicts carry no error and are never raised.
     """
     config = PipelineConfig(input_path=args.input,
                             output_dir=Path(args.output).parent,
@@ -109,16 +104,14 @@ def _run_stages(args, stages: tuple[str, ...], *, skip_failed: bool = False,
     rejections = []
 
     def survivors():
-        reader = read_manifest(config.input_path)
-        while chunk := list(islice(reader, CHUNK_RECORDS)):
-            for stage in stages:
-                chunk, rejected = run_stage(stage, chunk, config)
-                errors = [r.error for r in rejected if r.error is not None]
-                if errors and not skip_failed:
-                    raise errors[0]
-                # --rejects writes no error, so none is kept.
-                rejections.extend(r._replace(error=None) for r in rejected)
-            yield from chunk
+        for stage, _, chunk, rejected in run_chunks(config):
+            errors = [r.error for r in rejected if r.error is not None]
+            if errors and not skip_failed:
+                raise errors[0]
+            # --rejects writes no error, so none is kept.
+            rejections.extend(r._replace(error=None) for r in rejected)
+            if stage == stages[-1]:
+                yield from chunk
             del chunk  # before the next chunk is read
 
     # Both files are complete before either replaces its target.
@@ -209,25 +202,15 @@ def _cmd_stats(args) -> int:
     return EXIT_OK
 
 
-class _ShardEntry(NamedTuple):
-    """What shard keeps of a record: its key and duration for the
-    assignment, and its line, UTF-8 encoded, for the shard file."""
-
-    key: str
-    duration_s: float
-    line: bytes
-
-
 def _cmd_shard(args) -> int:
     if args.shards < 1:
         raise UsageError(f"--shards must be >= 1, got {args.shards}")
     # The greedy assignment needs every duration before it places any record.
-    entries = [_ShardEntry(r.key, r.duration_s, record_to_line(r).encode())
+    entries = [ShardEntry(r.key, r.duration_s, record_to_line(r).encode())
                for r in read_manifest(args.input)]
     assignment = shard(entries, args.shards)
     out_dir = Path(args.output_dir)
-    write_shards({e.key: e.line for e in entries}, assignment, out_dir,
-                 **_given(args, "prefix"))
+    write_shards(entries, assignment, out_dir, **_given(args, "prefix"))
     write_json(out_dir / "assignment.json", {
         "n_shards": assignment.n_shards,
         "durations_s": [round(d, 3) for d in assignment.durations],

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import errno
 import heapq
+from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import count, islice
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, TextIO, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, TextIO, TypeVar
 
 from . import manifest
 from .aligner import (SCORE_MODES, AlignmentError, AlignmentResult,
@@ -29,6 +32,10 @@ from .textnorm import (EmptyTextError, LanguageProfile, ProfileError,
                        romanize)
 
 STAGES = ("normalize", "romanize", "align", "filter")
+
+# Records run_pipeline and the stage commands hold at once: the chunk
+# run_chunks reads and takes through every stage before it reads the next.
+CHUNK_RECORDS = 256
 
 T = TypeVar("T")
 
@@ -109,10 +116,20 @@ def shard(records: Iterable[UtteranceRecord], n_shards: int) -> ShardAssignment:
     return ShardAssignment(n_shards, shard_of, tuple(durations))
 
 
-def write_shards(lines: Mapping[str, bytes], assignment: ShardAssignment,
+class ShardEntry(NamedTuple):
+    """What sharding keeps of a record: its key and duration for the
+    assignment, and its line, UTF-8 encoded, for the shard file."""
+
+    key: str
+    duration_s: float
+    line: bytes
+
+
+def write_shards(entries: Iterable[ShardEntry], assignment: ShardAssignment,
                  out_dir: Path, prefix: str = "shard_") -> None:
-    """Write each shard to out_dir/{prefix}NNN.jsonl: the lines of its keys,
-    sorted by key. lines maps each key to its record_to_line, UTF-8 encoded."""
+    """Write each shard to out_dir/{prefix}NNN.jsonl: the lines of its
+    entries, sorted by key."""
+    lines = {entry.key: entry.line for entry in entries}
     for index in range(assignment.n_shards):
         with manifest.atomic_write(out_dir / f"{prefix}{index:03d}.jsonl") as fh:
             for key in assignment.keys_for(index):
@@ -534,6 +551,31 @@ def write_rejections(rejections: Iterable[Rejection],
 
 # ------------------------------------------------------------ orchestration
 
+def run_chunks(config: PipelineConfig
+               ) -> Iterator[tuple[str, int, list[UtteranceRecord], list[Rejection]]]:
+    """Read the input CHUNK_RECORDS records at a time and run each chunk
+    through the configured stages: the one driver of run_pipeline and the
+    stage commands.
+
+    Yields ("ingest", n, chunk, []) for each chunk read (an empty input is
+    one empty chunk), then (stage, n_in, survivors, rejections) after each
+    stage. A stage runs only when the caller asks for its tuple, so a caller
+    that raises on a rejection stops the run there. A caller that drops
+    each chunk before asking for the next tuple holds one chunk at a time.
+    """
+    reader = read_manifest(config.input_path, config.adapter)
+    for index in count():
+        chunk = list(islice(reader, CHUNK_RECORDS))
+        if index and not chunk:
+            return
+        yield "ingest", len(chunk), chunk, []
+        for stage in config.stages:
+            n_in = len(chunk)
+            chunk, rejected = run_stage(stage, chunk, config)
+            yield stage, n_in, chunk, rejected
+        del chunk  # before the next chunk is read
+
+
 def run_pipeline(config: PipelineConfig,
                  progress: Callable[[str], None] | None = None) -> dict:
     """Run the configured stages over the input manifest.
@@ -541,57 +583,78 @@ def run_pipeline(config: PipelineConfig,
     Writes one manifest per stage, a rejection list, corpus stats for the
     survivors, and a summary with per-stage counts and a rejection
     histogram. Returns the summary dict. Rerunning with identical inputs
-    and configuration produces byte-identical files.
+    and configuration produces byte-identical files, whatever CHUNK_RECORDS is.
+
+    The records go through run_chunks, so memory holds one chunk, the key,
+    stage and reasons of each rejection and, when shard_count > 1, a
+    ShardEntry per survivor. progress gets `ingest: N records` after each
+    chunk is read and `STAGE: N in, M out` after each stage has run on it
+    and written its survivors. A run whose input or stages raise writes no
+    file: no file replaces its target before the last chunk has run.
     """
     def note(message: str) -> None:
         if progress is not None:
             progress(message)
 
-    records = list(read_manifest(config.input_path, config.adapter))
-    n_input = len(records)
-    note(f"ingest: {n_input} records")
-
-    stage_counts: dict[str, dict[str, int]] = {}
-    histogram: dict[str, int] = {}
+    last = config.stages[-1] if config.stages else "ingest"
+    n_input = 0
+    stage_counts = {stage: {"in": 0, "out": 0} for stage in config.stages}
+    histogram: Counter[str] = Counter()
     rejections: list[Rejection] = []
+    entries: list[ShardEntry] = []
 
-    # id(record) -> its line in the last stage manifest. A record that
-    # survives a stage unchanged (the filter passes the very objects align
-    # made) and every sharded record is written with that line, so it is
-    # encoded once per run. Each key is the id of a record that records
-    # holds, so no id can pass to another object while the dict lives.
-    lines: dict[int, str] = {}
-    for stage in config.stages:
-        survivors, rejected = run_stage(stage, records, config)
-        for rejection in rejected:
-            for reason in rejection.reasons:
-                histogram[reason] = histogram.get(reason, 0) + 1
-        rejections += rejected
-        stage_counts[stage] = {"in": len(records), "out": len(survivors)}
-        lines = {id(r): lines.get(id(r)) or manifest.record_to_line(r) for r in survivors}
-        write_manifest(survivors, config.output_dir / f"{stage}.jsonl", lines)
-        note(f"{stage}: {len(records)} in, {len(survivors)} out")
-        records = survivors
+    def survivors(outs: Mapping[str, TextIO]) -> Iterator[UtteranceRecord]:
+        """The records the last stage passes, in input order, with each
+        stage manifest written as the chunks go by."""
+        nonlocal n_input
+        for stage, n_in, records, rejected in run_chunks(config):
+            if stage == "ingest":
+                n_input += n_in
+                # id(record) -> its line in the last stage manifest, for
+                # this chunk, so a record the filter passes on unchanged and
+                # a sharded record are encoded once. Every survivor was made
+                # while each record keyed here was alive, so a shared id is
+                # the same record.
+                lines: dict[int, str] = {}
+                note(f"ingest: {n_in} records")
+            else:
+                histogram.update(reason for r in rejected for reason in r.reasons)
+                rejections.extend(r._replace(error=None) for r in rejected)
+                stage_counts[stage]["in"] += n_in
+                stage_counts[stage]["out"] += len(records)
+                lines = {id(r): lines.get(id(r)) or manifest.record_to_line(r)
+                         for r in records}
+                write_manifest(records, outs[stage], lines)
+                note(f"{stage}: {n_in} in, {len(records)} out")
+            if stage == last:
+                if config.shard_count > 1:
+                    entries.extend(
+                        ShardEntry(r.key, r.duration_s,
+                                   (lines.get(id(r)) or manifest.record_to_line(r)).encode())
+                        for r in records)
+                yield from records
+            del records  # before the next chunk is read
 
-    write_rejections(rejections, config.output_dir / "rejections.jsonl")
+    with ExitStack() as files:
+        def open_file(name: str) -> TextIO:
+            return files.enter_context(manifest.atomic_write(config.output_dir / name))
 
-    stats = compute_stats(records)
-    write_json(config.output_dir / "stats.json", stats_to_json_dict(stats))
-
-    if config.shard_count > 1:
-        assignment = shard(records, config.shard_count)
-        write_shards({r.key: (lines.get(id(r)) or manifest.record_to_line(r)).encode()
-                      for r in records}, assignment, config.output_dir)
-        note(f"shard: {config.shard_count} shards, "
-             f"{max(assignment.durations, default=0.0):.1f}s max")
-
-    summary = {
-        "input_records": n_input,
-        "output_records": len(records),
-        "stages": list(config.stages),
-        "stage_counts": stage_counts,
-        "rejections": dict(sorted(histogram.items())),
-    }
-    write_json(config.output_dir / "summary.json", summary)
+        stats = compute_stats(survivors({stage: open_file(f"{stage}.jsonl")
+                                         for stage in config.stages}))
+        write_rejections(rejections, open_file("rejections.jsonl"))
+        write_json(open_file("stats.json"), stats_to_json_dict(stats))
+        summary = {
+            "input_records": n_input,
+            "output_records": stats.total.utterances,
+            "stages": list(config.stages),
+            "stage_counts": stage_counts,
+            "rejections": dict(sorted(histogram.items())),
+        }
+        write_json(open_file("summary.json"), summary)
+        if config.shard_count > 1:
+            assignment = shard(entries, config.shard_count)
+            write_shards(entries, assignment, config.output_dir)
+            note(f"shard: {config.shard_count} shards, "
+                 f"{max(assignment.durations, default=0.0):.1f}s max")
     note(f"done: {summary['output_records']} records pass")
     return summary

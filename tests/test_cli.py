@@ -1159,28 +1159,50 @@ def test_streaming_commands_write_what_whole_files_gave(tmp_path, case, size):
         assert path.read_bytes() == content, path.name
 
 
-def test_filter_holds_one_chunk_of_records(tmp_path, monkeypatch):
+def _four_chunks_every_fifth_rejected(tmp_path):
     src = tmp_path / "in.jsonl"
     write_manifest((rec(f"r{i:04d}", confidence=0.1 if i % 5 == 0 else 0.95)
                     for i in range(4 * CHUNK)), src)
-    alive = peak = 0
+    return src
+
+
+def _count_records(monkeypatch):
+    """From now on, count the records alive; the dict's "peak" is the most
+    alive at once."""
+    count = {"alive": 0, "peak": 0}
     check = UtteranceRecord.__post_init__
 
     def freed():
-        nonlocal alive
-        alive -= 1
+        count["alive"] -= 1
 
     def counted(record):  # a record is unhashable, so no WeakSet holds it
-        nonlocal alive, peak
         check(record)
-        alive += 1
-        peak = max(peak, alive)
+        count["alive"] += 1
+        count["peak"] = max(count["peak"], count["alive"])
         weakref.finalize(record, freed)
 
     monkeypatch.setattr(UtteranceRecord, "__post_init__", counted)
+    return count
+
+
+def test_filter_holds_one_chunk_of_records(tmp_path, monkeypatch):
+    src = _four_chunks_every_fifth_rejected(tmp_path)
+    count = _count_records(monkeypatch)
     assert main(["filter", "-i", str(src), "-o", str(tmp_path / "kept.jsonl"),
                  "--rejects", str(tmp_path / "rejects.jsonl")]) == 0
-    assert CHUNK <= peak <= CHUNK + 1
+    assert CHUNK <= count["peak"] <= CHUNK + 1
+
+
+@pytest.mark.parametrize("shard_count", [1, 8])
+def test_run_pipeline_holds_one_chunk_of_records(tmp_path, monkeypatch, shard_count):
+    config = PipelineConfig(input_path=_four_chunks_every_fifth_rejected(tmp_path),
+                            output_dir=tmp_path / "out", stages=("filter",),
+                            filter_config=FilterConfig(profiles=load_profiles()),
+                            shard_count=shard_count)
+    count = _count_records(monkeypatch)
+    summary = voxkit.run_pipeline(config)
+    assert summary["stage_counts"]["filter"] == {"in": 4 * CHUNK, "out": 4 * CHUNK * 4 // 5}
+    assert CHUNK <= count["peak"] <= CHUNK + 1
 
 
 def _bad_line_in_chunk_two(tmp_path, monkeypatch, out_dir):

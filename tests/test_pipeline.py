@@ -1110,3 +1110,71 @@ def test_rejections_keep_no_stack_frames(tmp_path):
     for rejection in rejections:
         chain = _error_chain(rejection.error)
         assert [e.__traceback__ for e in chain] == [None] * len(chain), rejection.key
+
+
+# ------------------------------------------------------------ chunks
+
+CHUNK = pipeline_module.CHUNK_RECORDS
+
+
+def _files(out_dir):
+    """Every file under out_dir, by name, with its bytes."""
+    return {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+
+def test_a_run_that_raises_leaves_the_output_directory_as_it_was(tmp_path, monkeypatch):
+    text = "some gentle words in a quiet room"
+    monkeypatch.setattr(pipeline_module, "CHUNK_RECORDS", 2)
+    config = full_config(tmp_path, [rec(f"old{i}", 4.0 + i, text=text) for i in range(3)],
+                         shard_count=3)
+    run_pipeline(config)
+    (config.output_dir / "notes.txt").write_text("not voxkit's", encoding="utf-8")
+    before = _files(config.output_dir)
+    # A new input whose align stage dies on a record of the second chunk,
+    # after the first chunk went through every stage.
+    config = full_config(tmp_path, [rec(f"new{i}", 5.0 + i, text=text) for i in range(4)],
+                         shard_count=3)
+    load = pipeline_module.load_emissions
+
+    def crashing(path):
+        if "new3" in str(path):
+            raise RuntimeError(f"{path}: emission reader crashed")
+        return load(path)
+
+    monkeypatch.setattr(pipeline_module, "load_emissions", crashing)
+    for out_dir in (config.output_dir, tmp_path / "fresh" / "out"):
+        with pytest.raises(PipelineStageError) as err:
+            run_pipeline(replace(config, output_dir=out_dir))
+        assert (err.value.stage, err.value.key) == ("align", "new3")
+    assert _files(config.output_dir) == before
+    assert not (tmp_path / "fresh").exists()
+
+
+def _fate_records(n):
+    """n records with varied durations; by i % 6 the record is rejected by
+    normalize, passes, is rejected by romanize, by align (no emissions),
+    passes, or is rejected by the filter (too long)."""
+    text = "some gentle words in a quiet room"
+    fates = {0: dict(language="xx"), 2: dict(text="αβγ δεζ ηθι κλμ"),
+             5: dict(duration_s=40.0)}
+    return [rec(f"r{i:04d}", **{"duration_s": 4.0 + i % 7, "text": text,
+                                **fates.get(i % 6, {})})
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, CHUNK])
+def test_chunk_size_never_changes_a_byte(tmp_path, monkeypatch, size):
+    records = _fate_records(CHUNK + 4)
+    config = full_config(tmp_path, records, shard_count=3)
+    for record in records[3::6]:
+        (config.emissions_dir / f"{record.key}.npz").unlink()
+    monkeypatch.setattr(pipeline_module, "CHUNK_RECORDS", len(records))
+    whole = run_pipeline(replace(config, output_dir=tmp_path / "whole"))
+    assert whole["rejections"] == {"bad_language": 44, "unmappable_char": 43,
+                                   "missing_emissions": 43, "too_long": 43,
+                                   "rate_low": 43}
+    monkeypatch.setattr(pipeline_module, "CHUNK_RECORDS", size)
+    notes = []
+    assert run_pipeline(config, progress=notes.append) == whole
+    assert _files(config.output_dir) == _files(tmp_path / "whole")
+    assert notes.count(f"ingest: {size} records") == len(records) // size
